@@ -1,14 +1,17 @@
 """Fourth-order compact finite-difference operators on uniform 1-D grids.
 
 The derivative of order p at the nodes is obtained from an implicit banded
-relation ``L u^(p) = M u``; materializing ``D = L^-1 M`` once gives a dense
-matrix that downstream code can shift, combine and factor freely.
+relation ``L u^(p) = M u``.  Two representations are built here:
 
-Two boundary treatments are built here:
-
-* periodic: circulant tridiagonal L and M, N unknowns with x_{N+1} == x_1;
-* Dirichlet: one-sided closures at the first and last node, so the matrices
-  act on all N nodes including the endpoints.
+* periodic grids (N unknowns, x_{N+1} == x_1): L and M are circulant, so the
+  discrete Fourier transform diagonalizes ``D = L^-1 M``.  The ``*_symbol``
+  functions return its eigenvalues on the ``rfft`` frequencies, which is all
+  the periodic solver uses (O(N) memory, O(N log N) to apply);
+* dense matrices ``D = L^-1 M`` from the ``build_*`` functions.  Dirichlet
+  grids close the ends with one-sided relations at the first and last node,
+  so the matrices act on all N nodes including the endpoints.  The builders
+  also accept periodic grids, where the circulant matrices serve as the
+  independent reference for the symbols.
 
 For homogeneous Dirichlet problems there are also ``interior_*`` builders
 that drop the closure rows entirely and act on the N-2 interior nodes with
@@ -79,6 +82,14 @@ class DerivativeOperator:
     scheme: BoundaryScheme
 
 
+# Interior three-point stencils (lower, diagonal, upper) of L and M.  The
+# scale factor of M (3/h and 12/h^2) is applied by the callers.
+_D1_LHS = (1.0, 4.0, 1.0)
+_D1_RHS = (-1.0, 0.0, 1.0)
+_D2_LHS = (1.0, 10.0, 1.0)
+_D2_RHS = (1.0, -2.0, 1.0)
+
+
 def _freeze(matrix: np.ndarray) -> np.ndarray:
     matrix.setflags(write=False)
     return matrix
@@ -111,6 +122,41 @@ def _check_size(grid: Grid, minimum: int, what: str):
         raise ValueError("grid spacing must be positive")
 
 
+def _stencil_symbol(stencil, theta: np.ndarray) -> np.ndarray:
+    """lo e^{-i theta} + diag + hi e^{i theta}: the eigenvalue of a circulant
+    three-point stencil on the Fourier mode exp(i theta j)."""
+    lo, diag, hi = stencil
+    return diag + (lo + hi) * np.cos(theta) + 1j * (hi - lo) * np.sin(theta)
+
+
+def _rfft_angles(grid: Grid) -> np.ndarray:
+    if grid.scheme is not BoundaryScheme.PERIODIC:
+        raise ValueError("Fourier symbols require a periodic grid")
+    return 2.0 * np.pi * np.fft.rfftfreq(grid.n_points)
+
+
+def first_derivative_symbol(grid: Grid) -> np.ndarray:
+    """Eigenvalues of the periodic compact D1 on the ``rfft`` frequencies.
+
+    (3/h) 2i sin(theta) / (4 + 2 cos(theta)) with theta = 2 pi q / N,
+    q = 0 .. N//2, so ``irfft(symbol * rfft(u), n=N)`` applies D1 to real u.
+    """
+    theta = _rfft_angles(grid)
+    return _freeze((3.0 / grid.h) * _stencil_symbol(_D1_RHS, theta)
+                   / _stencil_symbol(_D1_LHS, theta).real)
+
+
+def second_derivative_symbol(grid: Grid) -> np.ndarray:
+    """Eigenvalues of the periodic compact D2 on the ``rfft`` frequencies.
+
+    (12/h^2) (2 cos(theta) - 2) / (10 + 2 cos(theta)); real and even in
+    theta because the stencils are symmetric.
+    """
+    theta = _rfft_angles(grid)
+    return _freeze((12.0 / grid.h**2) * _stencil_symbol(_D2_RHS, theta).real
+                   / _stencil_symbol(_D2_LHS, theta).real)
+
+
 def build_first_derivative(grid: Grid) -> DerivativeOperator:
     """u' from u'_{i-1} + 4 u'_i + u'_{i+1} = (3/h)(u_{i+1} - u_{i-1}).
 
@@ -122,11 +168,11 @@ def build_first_derivative(grid: Grid) -> DerivativeOperator:
     n = grid.n_points
     h = grid.h
     if grid.scheme is BoundaryScheme.PERIODIC:
-        lhs = _circulant(n, 1.0, 4.0, 1.0)
-        rhs = _circulant(n, -1.0, 0.0, 1.0) * (3.0 / h)
+        lhs = _circulant(n, *_D1_LHS)
+        rhs = _circulant(n, *_D1_RHS) * (3.0 / h)
     else:
-        lhs = _tridiag(n, 1.0, 4.0, 1.0)
-        rhs = _tridiag(n, -1.0, 0.0, 1.0)
+        lhs = _tridiag(n, *_D1_LHS)
+        rhs = _tridiag(n, *_D1_RHS)
         lhs[0, :2] = (4.0, 12.0)
         rhs[0, :4] = (-34.0 / 9.0, 2.0, 2.0, -2.0 / 9.0)
         lhs[-1, -2:] = (12.0, 4.0)
@@ -146,11 +192,11 @@ def build_second_derivative(grid: Grid) -> DerivativeOperator:
     n = grid.n_points
     h = grid.h
     if grid.scheme is BoundaryScheme.PERIODIC:
-        lhs = _circulant(n, 1.0, 10.0, 1.0)
-        rhs = _circulant(n, 1.0, -2.0, 1.0) * (12.0 / h**2)
+        lhs = _circulant(n, *_D2_LHS)
+        rhs = _circulant(n, *_D2_RHS) * (12.0 / h**2)
     else:
-        lhs = _tridiag(n, 1.0, 10.0, 1.0)
-        rhs = _tridiag(n, 1.0, -2.0, 1.0)
+        lhs = _tridiag(n, *_D2_LHS)
+        rhs = _tridiag(n, *_D2_RHS)
         lhs[0, :2] = (10.0, 100.0)
         rhs[0, :5] = (725.0 / 72.0, -190.0 / 9.0, 145.0 / 12.0, -10.0 / 9.0, 5.0 / 72.0)
         lhs[-1, -2:] = (100.0, 10.0)
@@ -176,8 +222,8 @@ def build_interior_first_derivative(grid: Grid) -> DerivativeOperator:
         raise ValueError("interior operators require a Dirichlet grid")
     _check_size(grid, 6, "interior first-derivative operator")
     m = grid.n_points - 2
-    lhs = _tridiag(m, 1.0, 4.0, 1.0)
-    rhs = _tridiag(m, -1.0, 0.0, 1.0) * (3.0 / grid.h)
+    lhs = _tridiag(m, *_D1_LHS)
+    rhs = _tridiag(m, *_D1_RHS) * (3.0 / grid.h)
     return DerivativeOperator(1, _freeze(_materialize(lhs, rhs)), grid, grid.scheme)
 
 
@@ -187,8 +233,8 @@ def build_interior_second_derivative(grid: Grid) -> DerivativeOperator:
         raise ValueError("interior operators require a Dirichlet grid")
     _check_size(grid, 7, "interior second-derivative operator")
     m = grid.n_points - 2
-    lhs = _tridiag(m, 1.0, 10.0, 1.0)
-    rhs = _tridiag(m, 1.0, -2.0, 1.0) * (12.0 / grid.h**2)
+    lhs = _tridiag(m, *_D2_LHS)
+    rhs = _tridiag(m, *_D2_RHS) * (12.0 / grid.h**2)
     return DerivativeOperator(2, _freeze(_materialize(lhs, rhs)), grid, grid.scheme)
 
 

@@ -1,9 +1,9 @@
 """Dense LU factorization with reuse, linear solves, and matrix products.
 
-Everything at desk scale (n <= 1024) is held as plain dense ndarrays.  The
-shifted systems the time stepper solves are dense even though the compact
-schemes start from banded matrices, so no banded fast path is provided.
-LAPACK does the heavy lifting via scipy.
+Serves the dense compact-operator builders and the Dirichlet systems, whose
+operators and shifted stage matrices are held as dense ndarrays.  Periodic
+systems never reach this module: their stage solves are diagonal in Fourier
+space (see ``stepper.prepare``).  LAPACK does the heavy lifting via scipy.
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ every stage into one backward-Euler-type complex solve: the denominators have
 a single conjugate pole pair each, so for real data the conjugate half is the
 mirror of the other and ``2 Re(.)`` of one solve suffices.  Only two LU
 factorizations are needed for the whole time loop, one per denominator.
+On periodic grids the shifted operators are circulant, so each "factorization"
+is the reciprocal of its Fourier symbol and every stage solve is an FFT pair.
 
 A dense reference implementation of the same update, evaluated directly from
 the rational matrix functions, serves as the oracle for the partial-fraction
@@ -24,7 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .system import SemiDiscreteKse
+from .compact_fd import BoundaryScheme
+from .system import SemiDiscreteKse, dense_operators
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -167,33 +170,61 @@ def scalar_amplification(x, y):
 
 @dataclass(eq=False)
 class StepperWorkspace:
-    """The two reusable complex factorizations for one (system, k) pair."""
+    """The two reusable stage solvers for one (system, k) pair.
+
+    Periodic systems keep ``inv_full`` and ``inv_half``, the reciprocals
+    1 / (k lambda - c) of the shifted operators on the ``fft`` frequencies,
+    and solve with one FFT pair.  Every other system keeps the dense LU
+    factors ``factor_full`` and ``factor_half``; ``refine`` applies to them.
+    """
 
     sys: SemiDiscreteKse
     k: float
-    factor_full: linalg.LuFactorization
-    factor_half: linalg.LuFactorization
     coeffs: ImexCoefficients
+    factor_full: Optional[linalg.LuFactorization] = None
+    factor_half: Optional[linalg.LuFactorization] = None
+    inv_full: Optional[np.ndarray] = None
+    inv_half: Optional[np.ndarray] = None
     refine: int = 1
 
+    def _solve(self, factor, inverse, rhs: np.ndarray) -> np.ndarray:
+        if inverse is not None:
+            return np.fft.ifft(inverse * np.fft.fft(rhs))
+        return linalg.lu_solve(factor, rhs, refine=self.refine)
+
     def solve_full(self, rhs: np.ndarray) -> np.ndarray:
-        return linalg.lu_solve(self.factor_full, rhs, refine=self.refine)
+        return self._solve(self.factor_full, self.inv_full, rhs)
 
     def solve_half(self, rhs: np.ndarray) -> np.ndarray:
-        return linalg.lu_solve(self.factor_half, rhs, refine=self.refine)
+        return self._solve(self.factor_half, self.inv_half, rhs)
 
 
 def prepare(sys: SemiDiscreteKse, k: float, refine: int = 1) -> StepperWorkspace:
-    """Factor (kL - c1 I) and (kL - c1_half I) once for the whole time loop."""
+    """Set up (kL - c1 I) and (kL - c1_half I) once for the whole time loop.
+
+    Periodic systems store the two reciprocal symbols (O(N) memory); other
+    systems are LU-factored densely.  ``refine`` is the number of iterative
+    refinement passes per solve and applies only to the dense factorizations:
+    without it the Dirichlet problem-4 ladder loses its fourth-order
+    convergence at the smallest steps.
+    """
     if not (np.isfinite(k) and k > 0):
         raise ValueError("time step must be positive")
     co = coefficients()
+    if sys.scheme is BoundaryScheme.PERIODIC:
+        n = sys.state_size
+        # L is real-symmetric circulant: its eigenvalue at fft frequency q
+        # equals the rfft-frequency eigenvalue at min(q, n - q)
+        q = np.arange(n)
+        kl = k * sys.linear_symbol[np.minimum(q, n - q)]
+        return StepperWorkspace(sys=sys, k=k, coeffs=co, inv_full=1.0 / (kl - co.c1),
+                                inv_half=1.0 / (kl - co.c1_half))
     z = k * sys.linear_matrix
     eye = np.eye(sys.state_size)
-    factor_full = linalg.lu_factor(z - co.c1 * eye)
-    factor_half = linalg.lu_factor(z - co.c1_half * eye)
-    return StepperWorkspace(sys=sys, k=k, factor_full=factor_full,
-                            factor_half=factor_half, coeffs=co, refine=refine)
+    return StepperWorkspace(sys=sys, k=k, coeffs=co,
+                            factor_full=linalg.lu_factor(z - co.c1 * eye),
+                            factor_half=linalg.lu_factor(z - co.c1_half * eye),
+                            refine=refine)
 
 
 def _check_finite(u: np.ndarray, label: str):
@@ -249,14 +280,17 @@ _DENSE_REFERENCE_LIMIT = 512
 def step_dense_reference(sys: SemiDiscreteKse, u_n: np.ndarray, t_n: float, k: float) -> np.ndarray:
     """One step evaluated directly from the rational matrix functions.
 
-    Forms (12 I + 6 kL + (kL)^2) and (48 I + 12 kL + (kL)^2) and solves with
-    them densely; no partial fractions involved.  Oracle for :func:`step`.
+    Builds its own dense L and D1 with the compact_fd builders, forms
+    (12 I + 6 kL + (kL)^2) and (48 I + 12 kL + (kL)^2) and solves with them
+    densely, evaluating F with the dense D1; no partial fractions and no
+    Fourier symbols involved.  Oracle for :func:`step`.
     """
     n = sys.state_size
     if n > _DENSE_REFERENCE_LIMIT:
         raise ValueError(f"dense reference limited to {_DENSE_REFERENCE_LIMIT} unknowns")
+    linear, d1 = dense_operators(sys.params, sys.grid, sys.homogeneous)
     u_n = np.asarray(u_n, dtype=float)
-    z = k * sys.linear_matrix
+    z = k * linear
     z2 = z @ z
     eye = np.eye(n)
     den = linalg.lu_factor(12.0 * eye + 6.0 * z + z2)
@@ -268,22 +302,25 @@ def step_dense_reference(sys: SemiDiscreteKse, u_n: np.ndarray, t_n: float, k: f
     def apply_half(num: np.ndarray, vec: np.ndarray) -> np.ndarray:
         return linalg.lu_solve(den_h, num @ vec)
 
-    f_n = sys.nonlinear_rhs(u_n, t_n)
+    def rhs(u: np.ndarray) -> np.ndarray:
+        return -0.5 * (d1 @ (u * u))
+
+    f_n = rhs(u_n)
     a_n = apply_half(48.0 * eye - 12.0 * z + z2, u_n) + 24.0 * k * linalg.lu_solve(den_h, f_n)
     a_n = sys.constrain_stage(a_n, t_n + k / 2)
-    f_a = sys.nonlinear_rhs(a_n, t_n + k / 2)
+    f_a = rhs(a_n)
 
     b_n = (apply_half(48.0 * eye - 12.0 * z + z2, u_n)
            + 24.0 * k * linalg.lu_solve(den_h, f_n)
            + 2.0 * k * apply_half(12.0 * eye + z, f_a - f_n))
     b_n = sys.constrain_stage(b_n, t_n + k / 2)
-    f_b = sys.nonlinear_rhs(b_n, t_n + k / 2)
+    f_b = rhs(b_n)
 
     r22u = apply_full(12.0 * eye - 6.0 * z + z2, u_n)
     p1f = 12.0 * k * linalg.lu_solve(den, f_n)
     c_n = r22u + p1f + 2.0 * k * apply_full(6.0 * eye + z, f_b - f_n)
     c_n = sys.constrain_stage(c_n, t_n + k)
-    f_c = sys.nonlinear_rhs(c_n, t_n + k)
+    f_c = rhs(c_n)
 
     u_next = (r22u + p1f
               + k * apply_full(6.0 * eye + z, -3.0 * f_n + 2.0 * f_a + 2.0 * f_b - f_c)

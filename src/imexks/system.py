@@ -6,7 +6,9 @@ transport enters explicitly through ``F(U) = -1/2 D1 (U * U)``.
 Boundary handling comes in three flavors, chosen by grid scheme and boundary
 data:
 
-* periodic - every node is an unknown, nothing else to do;
+* periodic - every node is an unknown and the operators are held as their
+  Fourier symbols: ``linear_symbol`` and ``d1_symbol`` on the ``rfft``
+  frequencies, O(N) memory, and F costs one FFT pair;
 * Dirichlet with boundary data - all N nodes evolve with the one-sided
   closure operators and the outermost two nodes per end are overwritten with
   the supplied data after every stage.  Pinning a single endpoint is not
@@ -16,12 +18,14 @@ data:
   with the truncated tridiagonal operators.  Injecting zeros into the full
   closure operators instead is unstable whenever the solution is not already
   flat next to the walls.
+
+Both Dirichlet flavors hold dense ``linear_matrix`` and ``d1_matrix``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -48,17 +52,26 @@ class KseParameters:
 
 @dataclass(frozen=True, eq=False)
 class SemiDiscreteKse:
+    """U_t + L U = F(U, t) on the active unknowns.
+
+    Periodic systems carry ``linear_symbol`` and ``d1_symbol`` (eigenvalues
+    of L and D1 on the ``rfft`` frequencies); Dirichlet systems carry the
+    dense ``linear_matrix`` and ``d1_matrix``.  The other pair is None.
+    """
+
     params: KseParameters
     grid: Grid
     scheme: BoundaryScheme
-    linear_matrix: np.ndarray
-    d1_matrix: np.ndarray
+    linear_matrix: Optional[np.ndarray] = None
+    d1_matrix: Optional[np.ndarray] = None
+    linear_symbol: Optional[np.ndarray] = None
+    d1_symbol: Optional[np.ndarray] = None
     boundary_values: Optional[Callable] = None
     homogeneous: bool = field(default=False)
 
     @property
     def state_size(self) -> int:
-        return self.linear_matrix.shape[0]
+        return self.grid.n_points - 2 if self.homogeneous else self.grid.n_points
 
     def active_nodes(self) -> np.ndarray:
         """Positions of the evolving unknowns."""
@@ -69,8 +82,11 @@ class SemiDiscreteKse:
     def nonlinear_rhs(self, u: np.ndarray, t: float) -> np.ndarray:
         """F(U, t) = -1/2 D1 (U * U)."""
         u = np.asarray(u)
-        if u.shape[0] != self.state_size:
-            raise ValueError(f"state has length {u.shape[0]}, expected {self.state_size}")
+        n = self.state_size
+        if u.shape[0] != n:
+            raise ValueError(f"state has length {u.shape[0]}, expected {n}")
+        if self.scheme is BoundaryScheme.PERIODIC:
+            return -0.5 * np.fft.irfft(self.d1_symbol * np.fft.rfft(u * u), n=n)
         return -0.5 * (self.d1_matrix @ (u * u))
 
     def apply_boundary(self, u: np.ndarray, t: float) -> np.ndarray:
@@ -113,6 +129,25 @@ class SemiDiscreteKse:
         return out
 
 
+def dense_operators(params: KseParameters, grid: Grid,
+                    homogeneous: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense L = alpha D2 + beta D2^2 and D1 from the compact_fd builders.
+
+    ``homogeneous`` selects the interior operators of a Dirichlet grid.
+    Dirichlet systems run on these matrices; on periodic grids they are the
+    independent reference for the Fourier symbols.
+    """
+    if homogeneous:
+        d1 = compact_fd.build_interior_first_derivative(grid)
+        d2 = compact_fd.build_interior_second_derivative(grid)
+    else:
+        d1 = compact_fd.build_first_derivative(grid)
+        d2 = compact_fd.build_second_derivative(grid)
+    linear = params.alpha * d2.matrix + params.beta * (d2.matrix @ d2.matrix)
+    linear.setflags(write=False)
+    return linear, d1.matrix
+
+
 def assemble(
     params: KseParameters,
     grid: Grid,
@@ -123,31 +158,26 @@ def assemble(
     ``boundary_values`` is a callable ``g(x, t)`` giving the imposed solution
     values near the walls; it is required for Dirichlet grids unless the
     boundary data is identically zero (pass ``None`` for the homogeneous
-    reduction).  Periodic grids accept no boundary data.
+    reduction).  Periodic grids accept no boundary data and get the Fourier
+    symbols of L and D1 instead of matrices.
     """
     if grid.scheme is BoundaryScheme.PERIODIC:
         if boundary_values is not None:
             raise ValueError("periodic systems take no boundary values")
-        d1 = compact_fd.build_first_derivative(grid)
-        d2 = compact_fd.build_second_derivative(grid)
-        homogeneous = False
-    elif boundary_values is not None:
-        d1 = compact_fd.build_first_derivative(grid)
-        d2 = compact_fd.build_second_derivative(grid)
-        homogeneous = False
-    else:
-        d1 = compact_fd.build_interior_first_derivative(grid)
-        d2 = compact_fd.build_interior_second_derivative(grid)
-        homogeneous = True
-    d4 = d2.matrix @ d2.matrix
-    linear = params.alpha * d2.matrix + params.beta * d4
-    linear.setflags(write=False)
+        s2 = compact_fd.second_derivative_symbol(grid)
+        linear = params.alpha * s2 + params.beta * s2 * s2
+        linear.setflags(write=False)
+        return SemiDiscreteKse(params=params, grid=grid, scheme=grid.scheme,
+                               linear_symbol=linear,
+                               d1_symbol=compact_fd.first_derivative_symbol(grid))
+    homogeneous = boundary_values is None
+    linear, d1 = dense_operators(params, grid, homogeneous)
     return SemiDiscreteKse(
         params=params,
         grid=grid,
         scheme=grid.scheme,
         linear_matrix=linear,
-        d1_matrix=d1.matrix,
+        d1_matrix=d1,
         boundary_values=boundary_values,
         homogeneous=homogeneous,
     )

@@ -10,6 +10,8 @@ from imexks.compact_fd import (
     build_interior_first_derivative,
     build_interior_second_derivative,
     build_second_derivative,
+    first_derivative_symbol,
+    second_derivative_symbol,
     write_operator_csv,
 )
 
@@ -112,6 +114,32 @@ def test_periodic_symmetry_types():
     d2 = build_second_derivative(grid).matrix
     assert np.abs(d1 + d1.T).max() <= 1e-12 * np.abs(d1).max()
     assert np.abs(d2 - d2.T).max() <= 1e-12 * np.abs(d2).max()
+
+
+# ------------------------------------------------------- Fourier symbols
+
+
+@pytest.mark.parametrize("n", [63, 64, 256])
+@pytest.mark.parametrize("builder,symbol", [(build_first_derivative, first_derivative_symbol),
+                                            (build_second_derivative, second_derivative_symbol)])
+def test_symbol_matches_dense_circulant(n, builder, symbol):
+    grid = periodic_grid(n, 0.0, 32 * np.pi)
+    dense = builder(grid).matrix
+    s = symbol(grid)
+    assert s.shape == (n // 2 + 1,)
+    # eigenvalues of a circulant: the DFT of its first column
+    eig = np.fft.fft(dense[:, 0])[: n // 2 + 1]
+    assert np.abs(eig - s).max() <= 1e-13 * np.abs(s).max()
+    u = np.random.default_rng(n).standard_normal(n)
+    applied = np.fft.irfft(s * np.fft.rfft(u), n=n)
+    assert np.abs(applied - dense @ u).max() <= 1e-13 * np.abs(dense @ u).max()
+
+
+def test_symbols_require_periodic_grid():
+    with pytest.raises(ValueError):
+        first_derivative_symbol(dirichlet_grid(16))
+    with pytest.raises(ValueError):
+        second_derivative_symbol(dirichlet_grid(16))
 
 
 # ------------------------------------------------------ convergence orders

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imexks import problems, stepper
 from imexks.compact_fd import BoundaryScheme, Grid
@@ -18,13 +20,15 @@ from imexks.stepper import (
     step,
     step_dense_reference,
 )
-from imexks.system import KseParameters, assemble
+from imexks.system import KseParameters, assemble, dense_operators
 
 SQ3 = math.sqrt(3.0)
 
 
 class ScalarSystem:
     """1-d linear test system u' = -lam u (+ optional explicit r u)."""
+
+    scheme = None  # not periodic: prepare factors linear_matrix densely
 
     def __init__(self, lam, r_coeff=0.0):
         self.linear_matrix = np.array([[float(lam)]])
@@ -174,11 +178,22 @@ def test_prepare_factorization_residual():
     k = 0.125
     ws = prepare(sys_, k)
     co = coefficients()
-    shifted = k * sys_.linear_matrix - co.c1 * np.eye(64)
+    linear, _ = dense_operators(sys_.params, grid)
+    shifted = k * linear - co.c1 * np.eye(64)
     rng = np.random.default_rng(5)
     b = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     x = ws.solve_full(b)
     assert np.abs(shifted @ x - b).max() <= 1e-10 * np.abs(b).max()
+
+
+def test_periodic_prepare_holds_only_order_n_arrays():
+    n = 4096
+    sys_ = problems.make_problem(2).build_system(n)
+    ws = prepare(sys_, 0.25)
+    assert ws.factor_full is None and ws.factor_half is None
+    arrays = [v for obj in (ws, sys_) for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 4
+    assert all(a.ndim == 1 and a.size <= n for a in arrays)
 
 
 def test_prepare_rebuilds_for_new_step():
@@ -236,9 +251,16 @@ def test_mean_conserved_over_hundred_steps():
 
 
 def test_dense_reference_scalar_reduces_to_pade():
-    sys_ = ScalarSystem(3.0)
-    u1 = step_dense_reference(sys_, np.array([1.0]), 0.0, 0.2)
-    assert u1[0] == pytest.approx(r22(0.6), rel=1e-13)
+    # one Fourier mode at tiny amplitude: L acts as its eigenvalue and the
+    # quadratic term sinks far below the tolerance
+    n, q, k = 12, 3, 0.02
+    grid = Grid(0.0, 2 * np.pi, n, BoundaryScheme.PERIODIC)
+    sys_ = assemble(KseParameters(1.0, 1.0), grid)
+    theta = 2 * np.pi * q / n
+    lam2 = (12.0 / grid.h**2) * (2 * np.cos(theta) - 2.0) / (10.0 + 2 * np.cos(theta))
+    u0 = 1e-14 * np.cos(theta * np.arange(n))
+    u1 = step_dense_reference(sys_, u0, 0.0, k)
+    assert u1 == pytest.approx(r22(k * (lam2 + lam2**2)) * u0, rel=1e-13, abs=1e-13 * 1e-14)
 
 
 def test_step_matches_dense_reference_periodic():
@@ -275,12 +297,13 @@ def test_dense_reference_tracks_matrix_exponential_for_linear_part():
     # tiny amplitude makes the quadratic term negligible against the k^5 bound
     grid = Grid(0.0, 2 * np.pi, 12, BoundaryScheme.PERIODIC)
     sys_ = assemble(KseParameters(1.0, 1.0), grid)
+    linear, _ = dense_operators(sys_.params, grid)
     rng = np.random.default_rng(0)
     u0 = 1e-9 * rng.standard_normal(12)
     for k in (2e-3, 1e-3):
-        expm = scipy.linalg.expm(-k * sys_.linear_matrix)
+        expm = scipy.linalg.expm(-k * linear)
         u_ref = step_dense_reference(sys_, u0, 0.0, k)
-        z_norm = np.linalg.norm(k * sys_.linear_matrix, np.inf)
+        z_norm = np.linalg.norm(k * linear, np.inf)
         assert np.abs(u_ref - expm @ u0).max() <= z_norm**5 * np.abs(u0).max()
 
 
@@ -289,6 +312,53 @@ def test_dense_reference_size_guard():
     sys_ = assemble(KseParameters(1.0, 1.0), grid)
     with pytest.raises(ValueError):
         step_dense_reference(sys_, np.zeros(600), 0.0, 0.1)
+
+
+# ------------------------------------------------------ periodic symmetries
+
+
+def _periodic_workspace(n, k):
+    grid = Grid(0.0, 32 * np.pi, n, BoundaryScheme.PERIODIC)
+    return prepare(assemble(KseParameters(1.0, 1.0), grid), k)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=20, deadline=None)
+@given(half=st.integers(4, 64), k=st.sampled_from([0.05, 0.125, 0.25]),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_node_shift_commutes_with_step(parity, half, k, seed):
+    n = 2 * half + parity
+    u = np.random.default_rng(seed).standard_normal(n)
+    ws = _periodic_workspace(n, k)
+    expected = np.roll(step(ws, u, 0.0), 1)
+    shifted = step(ws, np.roll(u, 1), 0.0)
+    assert np.abs(shifted - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=20, deadline=None)
+@given(half=st.integers(4, 64), k=st.sampled_from([0.05, 0.125, 0.25]),
+       seed=st.integers(0, 2**32 - 1))
+def test_reflection_commutes_with_step(parity, half, k, seed):
+    # u(x) -> -u(-x) maps KS solutions to solutions; on the grid x_i = i h
+    # it sends u_i to -u_{(-i) mod n}
+    n = 2 * half + parity
+    u = np.random.default_rng(seed).standard_normal(n)
+    ws = _periodic_workspace(n, k)
+    mirror = (-np.arange(n)) % n
+    expected = -step(ws, u, 0.0)[mirror]
+    reflected = step(ws, -u[mirror], 0.0)
+    assert np.abs(reflected - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_problem2_runs_at_two_to_the_sixteen():
+    spec = problems.make_problem(2)
+    sys_ = spec.build_system(2**16)
+    ws = prepare(sys_, 0.25)
+    u = spec.initial_state(sys_)
+    for j in range(3):
+        u = step(ws, u, j * 0.25)
+    assert u.shape == (2**16,) and np.all(np.isfinite(u))
 
 
 # --------------------------------------------------------------- integrate

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imexks.compact_fd import BoundaryScheme, Grid, build_second_derivative
+from imexks.compact_fd import BoundaryScheme, Grid, build_first_derivative, build_second_derivative
 from imexks.problems import example1_exact
-from imexks.system import KseParameters, assemble
+from imexks.system import KseParameters, assemble, dense_operators
 
 
 def periodic_system(alpha=1.0, beta=1.0, n=64, length=32 * np.pi):
@@ -23,6 +23,15 @@ def reduced_system(n=41, alpha=1.0, beta=1.1):
     return assemble(KseParameters(alpha, beta), grid)
 
 
+def apply_symbol(symbol, u):
+    """Apply a periodic operator given by its rfft-frequency symbol."""
+    return np.fft.irfft(symbol * np.fft.rfft(u), n=len(u))
+
+
+def dense_linear(sys_):
+    return dense_operators(sys_.params, sys_.grid, sys_.homogeneous)[0]
+
+
 def test_parameters_must_be_nonzero():
     with pytest.raises(ValueError):
         KseParameters(0.0, 1.0)
@@ -38,22 +47,35 @@ def test_periodic_rejects_boundary_values():
 
 def test_periodic_constant_and_mean_annihilation():
     sys_ = periodic_system(alpha=-1.0, beta=1.0)
-    scale = np.abs(sys_.linear_matrix).max()
+    symbol = sys_.linear_symbol
+    scale = np.abs(symbol).max()
     ones = np.ones(sys_.state_size)
-    assert np.abs(sys_.linear_matrix @ ones).max() <= 1e-10 * scale
-    assert np.abs(ones @ sys_.linear_matrix).max() <= 1e-10 * scale
+    assert np.abs(apply_symbol(symbol, ones)).max() <= 1e-10 * scale
+    # ones @ L = 0 in Fourier space: the zero-frequency eigenvalue vanishes
+    assert abs(symbol[0]) <= 1e-10 * scale
 
 
 def test_periodic_symbol_matches_fourier_modes():
     n = 64
     sys_ = periodic_system(alpha=1.0, beta=1.0, n=n)
+    dense = dense_linear(sys_)
     h = sys_.grid.h
     for q in (1, 3, 7, 20):
         theta = 2 * np.pi * q / n
         lam2 = (12.0 / h**2) * (2 * np.cos(theta) - 2.0) / (10.0 + 2 * np.cos(theta))
         v = np.exp(1j * theta * np.arange(n))
-        predicted = (lam2 + lam2**2) * v
-        assert np.abs(sys_.linear_matrix @ v - predicted).max() <= 1e-9 * max(1.0, abs(lam2) ** 2)
+        predicted = sys_.linear_symbol[q] * v
+        assert np.abs(dense @ v - predicted).max() <= 1e-9 * max(1.0, abs(lam2) ** 2)
+
+
+@pytest.mark.parametrize("n", [63, 64, 256])
+def test_periodic_operators_are_fourier_symbols(n):
+    sys_ = periodic_system(alpha=-1.0, beta=1.0, n=n)
+    assert sys_.linear_matrix is None and sys_.d1_matrix is None
+    assert sys_.linear_symbol.shape == sys_.d1_symbol.shape == (n // 2 + 1,)
+    dense = dense_linear(sys_)
+    eig = np.fft.fft(dense[:, 0])[: n // 2 + 1]
+    assert np.abs(eig - sys_.linear_symbol).max() <= 1e-13 * np.abs(sys_.linear_symbol).max()
 
 
 def test_dirichlet_assembly_is_alpha_d2_plus_beta_d4():
@@ -66,9 +88,9 @@ def test_dirichlet_assembly_is_alpha_d2_plus_beta_d4():
 
 def test_parameter_linearity():
     grid = Grid(0.0, 2 * np.pi, 32, BoundaryScheme.PERIODIC)
-    l_a = assemble(KseParameters(1.0, 2.0), grid).linear_matrix
-    l_b = assemble(KseParameters(-0.5, 3.0), grid).linear_matrix
-    l_sum = assemble(KseParameters(0.5, 5.0), grid).linear_matrix
+    l_a = assemble(KseParameters(1.0, 2.0), grid).linear_symbol
+    l_b = assemble(KseParameters(-0.5, 3.0), grid).linear_symbol
+    l_sum = assemble(KseParameters(0.5, 5.0), grid).linear_symbol
     assert np.abs(l_a + l_b - l_sum).max() <= 1e-12 * np.abs(l_sum).max()
 
 
@@ -96,6 +118,15 @@ def test_nonlinear_rhs_matches_analytic_form():
     assert 3.7 <= np.log2(errs[0] / errs[1]) <= 4.3
 
 
+@pytest.mark.parametrize("n", [63, 64, 256])
+def test_fft_nonlinear_rhs_matches_dense(n):
+    sys_ = periodic_system(n=n)
+    d1 = build_first_derivative(sys_.grid).matrix
+    u = np.random.default_rng(n).standard_normal(n)
+    dense = -0.5 * (d1 @ (u * u))
+    assert np.abs(sys_.nonlinear_rhs(u, 0.0) - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
 def test_nonlinear_rhs_length_check():
     sys_ = periodic_system()
     with pytest.raises(ValueError):
@@ -116,8 +147,8 @@ def test_vector_field_conserves_mean():
     sys_ = periodic_system(n=48)
     rng = np.random.default_rng(9)
     u = rng.standard_normal(48)
-    rate = -sys_.linear_matrix @ u + sys_.nonlinear_rhs(u, 0.0)
-    assert abs(rate.sum()) <= 1e-9 * max(1.0, np.abs(u).max()) * np.abs(sys_.linear_matrix).max()
+    rate = -apply_symbol(sys_.linear_symbol, u) + sys_.nonlinear_rhs(u, 0.0)
+    assert abs(rate.sum()) <= 1e-9 * max(1.0, np.abs(u).max()) * np.abs(dense_linear(sys_)).max()
 
 
 # -------------------------------------------------------- boundary handling
