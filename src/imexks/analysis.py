@@ -114,66 +114,76 @@ class StabilityField:
         return float(np.sum(self.magnitudes <= 1.0)) * cell
 
 
-def _bisect_crossing(y: complex, p_in: complex, p_out: complex, iterations: int = 48) -> complex:
-    """Point on the segment [p_in, p_out] where |r| crosses 1."""
-    f_in = abs(scalar_amplification(p_in, y)) - 1.0
+def _bisect_crossings(y: complex, p_in: np.ndarray, p_out: np.ndarray,
+                      iterations: int = 48) -> np.ndarray:
+    """Points on the segments [p_in, p_out] where |r| crosses 1, all bisected at once.
+
+    ``p_in`` holds the |r| <= 1 end of each segment.  Each iteration evaluates
+    every midpoint in one call; the bisection stops once every interval is
+    shorter than 1e-12.
+    """
     for _ in range(iterations):
         mid = 0.5 * (p_in + p_out)
-        f_mid = abs(scalar_amplification(mid, y)) - 1.0
-        if (f_mid <= 0.0) == (f_in <= 0.0):
-            p_in, f_in = mid, f_mid
-        else:
-            p_out = mid
-        if abs(p_out - p_in) < 1e-12:
+        mid_in = np.abs(scalar_amplification(mid, y)) <= 1.0
+        p_in, p_out = np.where(mid_in, mid, p_in), np.where(mid_in, p_out, mid)
+        if np.all(np.abs(p_out - p_in) < 1e-12):
             break
     return 0.5 * (p_in + p_out)
 
 
-def _link_segments(segments: List[Tuple[complex, complex]]) -> List[np.ndarray]:
-    """Join cell segments that share endpoints into polylines."""
+def _link_segments(tails: np.ndarray, heads: np.ndarray, points: np.ndarray) -> List[np.ndarray]:
+    """Chain the directed segments ``tails[s] -> heads[s]`` into polylines.
 
-    def key(p: complex):
-        return (round(p.real, 9), round(p.imag, 9))
+    Nodes are crossing-edge indices into ``points``.  Each node starts at most
+    one segment and ends at most one, so the chains are open paths and closed
+    loops.  Pointer jumping gives every node its chain's label (the first node
+    of a path, the smallest node of a loop) and its rank along the chain.
+    Closed loops end on their first point.
+    """
+    n = points.size
+    if n == 0:
+        return []
+    nodes = np.arange(n)
+    pred = np.full(n, -1, dtype=np.intp)
+    pred[heads] = tails
+    rounds = n.bit_length()  # 2**rounds > n, longer than any chain
 
-    adjacency: dict = {}
-    for seg in segments:
-        for end in seg:
-            adjacency.setdefault(key(end), []).append(seg)
-    unused = set(range(len(segments)))
-    seg_index = {id(s): i for i, s in enumerate(segments)}
+    jump = np.where(pred >= 0, pred, nodes)
+    low = nodes
+    for _ in range(rounds):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    closed = pred[jump] >= 0  # a path's jump has stopped at its first node
+    label = np.where(closed, low, jump)
+
+    cut = np.where(closed & (label == nodes), -1, pred)  # open each loop at its label
+    rank = (cut >= 0).astype(np.intp)
+    jump = np.where(cut >= 0, cut, nodes)
+    for _ in range(rounds):
+        rank = rank + rank[jump]
+        jump = jump[jump]
+
+    order = np.lexsort((rank, label))
+    chains = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
     polylines = []
-    while unused:
-        i = unused.pop()
-        a, b = segments[i]
-        chain = [a, b]
-        for grow_tail in (True, False):
-            while True:
-                tip = chain[-1] if grow_tail else chain[0]
-                nxt = None
-                for seg in adjacency.get(key(tip), ()):
-                    j = seg_index[id(seg)]
-                    if j in unused:
-                        nxt = seg
-                        break
-                if nxt is None:
-                    break
-                unused.discard(seg_index[id(nxt)])
-                p, q = nxt
-                new_pt = q if key(p) == key(tip) else p
-                if grow_tail:
-                    chain.append(new_pt)
-                else:
-                    chain.insert(0, new_pt)
-        polylines.append(np.array([(p.real, p.imag) for p in chain]))
+    for chain in chains:
+        if closed[chain[0]]:
+            chain = np.append(chain, chain[0])
+        pts = points[chain]
+        polylines.append(np.column_stack((pts.real, pts.imag)))
     return polylines
 
 
 def stability_scan(y, window: tuple = DEFAULT_WINDOW, resolution: int = 512) -> StabilityField:
     """Sample |r(x, y)| on the window and extract the |r| = 1 level set.
 
-    Marching squares over the sample grid locates sign changes of |r| - 1;
-    each crossing is then refined by bisection on the exact scalar scheme, so
-    boundary points satisfy ||r| - 1| <= 1e-3 regardless of resolution.  An
+    Marching squares over the sample grid: every grid edge whose two samples
+    lie on different sides of |r| = 1 is a crossing edge.  Each crossing edge
+    is bisected once on the exact scalar scheme, all edges together, so
+    boundary points lie on grid edges and satisfy ||r| - 1| <= 1e-3
+    regardless of resolution.  Each cell joins its crossing edges in pairs
+    (a saddle cell by its centre sample), oriented with |r| <= 1 on the left,
+    and the segments are linked into polylines by crossing-edge index.  An
     empty field (window entirely outside the stability region) is flagged,
     not an error.
     """
@@ -189,47 +199,67 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW, resolution: int = 512) -> 
     magnitudes = np.abs(scalar_amplification(x_grid, y))
 
     inside = magnitudes <= 1.0
-    segments: List[Tuple[complex, complex]] = []
-    for j in range(resolution - 1):
-        for i in range(resolution - 1):
-            corners = (inside[j, i], inside[j, i + 1], inside[j + 1, i + 1], inside[j + 1, i])
-            total = sum(corners)
-            if total in (0, 4):
-                continue
-            pts = []
-            edges = (
-                (x_grid[j, i], x_grid[j, i + 1], corners[0], corners[1]),
-                (x_grid[j, i + 1], x_grid[j + 1, i + 1], corners[1], corners[2]),
-                (x_grid[j + 1, i + 1], x_grid[j + 1, i], corners[2], corners[3]),
-                (x_grid[j + 1, i], x_grid[j, i], corners[3], corners[0]),
-            )
-            for p, q, flag_p, flag_q in edges:
-                if flag_p != flag_q:
-                    p_in, p_out = (p, q) if flag_p else (q, p)
-                    pts.append(_bisect_crossing(y, p_in, p_out))
-            if len(pts) == 2:
-                segments.append((pts[0], pts[1]))
-            elif len(pts) == 4:
-                # saddle cell: orient by the center sample
-                center_in = abs(scalar_amplification(x_grid[j, i] + 0.5 * (
-                    x_grid[j + 1, i + 1] - x_grid[j, i]), y)) <= 1.0
-                if center_in == corners[0]:
-                    segments.append((pts[0], pts[1]))
-                    segments.append((pts[2], pts[3]))
-                else:
-                    segments.append((pts[0], pts[3]))
-                    segments.append((pts[1], pts[2]))
-    boundary = _link_segments(segments)
+    cross_h = inside[:, :-1] != inside[:, 1:]  # edge (j, i)-(j, i+1)
+    cross_v = inside[:-1, :] != inside[1:, :]  # edge (j, i)-(j+1, i)
+    jh, ih = np.nonzero(cross_h)
+    jv, iv = np.nonzero(cross_v)
+    n_h = jh.size
+    edge_h = np.full(cross_h.shape, -1, dtype=np.int32)
+    edge_h[jh, ih] = np.arange(n_h, dtype=np.int32)
+    edge_v = np.full(cross_v.shape, -1, dtype=np.int32)
+    edge_v[jv, iv] = np.arange(n_h, n_h + jv.size, dtype=np.int32)
+
+    first = np.concatenate((x_grid[jh, ih], x_grid[jv, iv]))
+    second = np.concatenate((x_grid[jh, ih + 1], x_grid[jv + 1, iv]))
+    first_in = np.concatenate((inside[jh, ih], inside[jv, iv]))
+    points = _bisect_crossings(y, np.where(first_in, first, second),
+                               np.where(first_in, second, first))
+
+    # cells (j, i) with a crossing; edge k runs counter-clockwise from corner k:
+    # bottom, right, top, left from corners (j, i), (j, i+1), (j+1, i+1), (j+1, i)
+    jc, ic = np.nonzero(cross_h[:-1] | cross_h[1:] | cross_v[:, :-1] | cross_v[:, 1:])
+    edges = np.stack((edge_h[jc, ic], edge_v[jc, ic + 1], edge_h[jc + 1, ic], edge_v[jc, ic]), axis=1)
+    # a crossing edge k leaves the |r| <= 1 region exactly when corner k is inside
+    leaving = np.stack((inside[jc, ic], inside[jc, ic + 1], inside[jc + 1, ic + 1],
+                        inside[jc + 1, ic]), axis=1)
+    crossing = edges >= 0
+    saddle = crossing.all(axis=1)
+
+    # two crossings: the segment runs from the leaving edge to the entering one
+    two = ~saddle
+    tails = edges[two][crossing[two] & leaving[two]]
+    heads = edges[two][crossing[two] & ~leaving[two]]
+
+    # four crossings: the centre sample decides which corners are cut off; a
+    # leaving edge k pairs with the entering edge k+1 if the centre is in, else k-1
+    sj, si = jc[saddle], ic[saddle]
+    centre = x_grid[sj, si] + 0.5 * (x_grid[sj + 1, si + 1] - x_grid[sj, si])
+    centre_in = np.abs(scalar_amplification(centre, y)) <= 1.0
+    k_tail = np.where(leaving[saddle, 0], 0, 1)[:, None] + np.array([0, 2])
+    k_head = (k_tail + np.where(centre_in, 1, 3)[:, None]) % 4
+    rows = np.arange(sj.size)[:, None]
+    tails = np.concatenate((tails, edges[saddle][rows, k_tail].ravel()))
+    heads = np.concatenate((heads, edges[saddle][rows, k_head].ravel()))
+
+    boundary = _link_segments(tails, heads, points)
     return StabilityField(y=y, window=tuple(window), re_axis=re_axis, im_axis=im_axis,
                           magnitudes=magnitudes, boundary=boundary)
 
 
 def write_field_csv(stability_field: StabilityField, path):
-    """Flatten the sampled field to rows of (re_x, im_x, abs_r)."""
-    re = np.broadcast_to(stability_field.re_axis[None, :], stability_field.magnitudes.shape)
-    im = np.broadcast_to(stability_field.im_axis[:, None], stability_field.magnitudes.shape)
-    data = np.column_stack([re.ravel(), im.ravel(), stability_field.magnitudes.ravel()])
-    np.savetxt(path, data, delimiter=",", fmt="%.17e", header="re_x,im_x,abs_r", comments="")
+    """Flatten the sampled field to rows of (re_x, im_x, abs_r).
+
+    The file is byte for byte what ``np.savetxt`` writes for the stacked
+    columns with ``fmt="%.17e"``, header ``re_x,im_x,abs_r`` and no comment
+    prefix.  Each axis value is formatted once; per row of the field only the
+    magnitudes are.
+    """
+    row_template = "".join(f"{re:.17e},{{im}},%.17e\n"
+                           for re in stability_field.re_axis.tolist())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("re_x,im_x,abs_r\n")
+        for im, row in zip(stability_field.im_axis.tolist(), stability_field.magnitudes):
+            fh.write(row_template.replace("{im}", f"{im:.17e}") % tuple(row.tolist()))
 
 
 def write_boundary_csv(stability_field: StabilityField, path):

@@ -19,6 +19,7 @@ from imexks.analysis import (
     write_boundary_csv,
     write_field_csv,
 )
+from imexks.stepper import scalar_amplification
 
 
 # ------------------------------------------------------------------- norms
@@ -179,6 +180,12 @@ def test_scan_imaginary_pair_is_conjugate_symmetric():
     minus = stability_scan(-5j, window=window, resolution=64)
     plus = stability_scan(5j, window=window, resolution=64)
     assert np.abs(minus.magnitudes - plus.magnitudes[::-1, :]).max() <= 1e-10
+    pts_minus, pts_plus = np.vstack(minus.boundary), np.vstack(plus.boundary)
+    assert pts_minus.shape == pts_plus.shape
+    mirrored = pts_plus[:, 0] - 1j * pts_plus[:, 1]
+    gaps = np.abs((pts_minus[:, 0] + 1j * pts_minus[:, 1])[:, None] - mirrored[None, :])
+    assert gaps.min(axis=0).max() <= 1e-9
+    assert gaps.min(axis=1).max() <= 1e-9
 
 
 def test_scan_flags_empty_window():
@@ -202,6 +209,130 @@ def test_boundary_polylines_are_chained():
     gaps = np.linalg.norm(np.diff(main, axis=0), axis=1)
     cell = (field.re_axis[1] - field.re_axis[0]) + (field.im_axis[1] - field.im_axis[0])
     assert gaps.max() <= 2.0 * cell
+    # the region lies inside the window: every polyline is closed and runs
+    # counter-clockwise, with |r| <= 1 on its left
+    for line in field.boundary:
+        assert np.array_equal(line[0], line[-1])
+        x, y = line[:, 0], line[:, 1]
+        assert np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]) > 0.0
+
+
+def test_scan_boundary_contract():
+    field = stability_scan(-2.0, window=(-6.0, 3.0, -6.0, 6.0), resolution=128)
+    pts = np.vstack(field.boundary)
+    # every point lies on a grid edge: one coordinate is exactly a sample
+    assert (np.isin(pts[:, 0], field.re_axis) | np.isin(pts[:, 1], field.im_axis)).all()
+    mags = np.abs(amplification_factor(pts[:, 0] + 1j * pts[:, 1], -2.0))
+    assert np.abs(mags - 1.0).max() <= 1e-9
+
+
+def _product_field(x, y):
+    """|r| <= 1 exactly where Re x * Im x >= 0: one saddle, at the origin."""
+    x = np.asarray(x, dtype=complex)
+    return np.exp(-x.real * x.imag)
+
+
+def _reference_segments(field, amp):
+    """The scan's segments, found cell by cell with one scalar bisection per crossing."""
+    re, im, y = field.re_axis, field.im_axis, field.y
+
+    def bisect(p_in, p_out):
+        for _ in range(48):
+            mid = 0.5 * (p_in + p_out)
+            if abs(amp(mid, y)) <= 1.0:
+                p_in = mid
+            else:
+                p_out = mid
+            if abs(p_out - p_in) < 1e-12:
+                break
+        return 0.5 * (p_in + p_out)
+
+    segments = []
+    for j in range(len(im) - 1):
+        for i in range(len(re) - 1):
+            cell = [(j, i), (j, i + 1), (j + 1, i + 1), (j + 1, i)]
+            corners = [complex(re[b], im[a]) for a, b in cell]
+            flags = [field.magnitudes[a, b] <= 1.0 for a, b in cell]
+            pts = []
+            for k in range(4):
+                p, q = corners[k], corners[(k + 1) % 4]
+                if flags[k] != flags[(k + 1) % 4]:
+                    pts.append(bisect(p, q) if flags[k] else bisect(q, p))
+            if len(pts) == 2:
+                segments.append(pts)
+            elif len(pts) == 4:
+                centre = 0.5 * (corners[0] + corners[2])
+                if (abs(amp(centre, y)) <= 1.0) == flags[0]:
+                    segments += [[pts[0], pts[1]], [pts[2], pts[3]]]
+                else:
+                    segments += [[pts[0], pts[3]], [pts[1], pts[2]]]
+    return np.array(segments, dtype=complex).reshape(-1, 2)
+
+
+def _polyline_segments(field):
+    lines = [line[:, 0] + 1j * line[:, 1] for line in field.boundary]
+    return np.vstack([np.column_stack((p[:-1], p[1:])) for p in lines])
+
+
+@pytest.mark.parametrize("y, window, resolution, saddle", [
+    (-2.0, (-6.0, 3.0, -6.0, 6.0), 48, False),
+    (-5j, (-4.0, 2.0, -6.0, 6.0), 40, False),
+    (0.0, (-1.1, 0.9, -1.05, 0.95), 16, True),
+])
+def test_scan_matches_cell_by_cell_reference(monkeypatch, y, window, resolution, saddle):
+    if saddle:
+        monkeypatch.setattr(analysis, "scalar_amplification", _product_field)
+    field = stability_scan(y, window=window, resolution=resolution)
+    ref = _reference_segments(field, analysis.scalar_amplification)
+    got = _polyline_segments(field)
+    assert ref.shape == got.shape
+    same = np.maximum(np.abs(ref[:, None, 0] - got[None, :, 0]), np.abs(ref[:, None, 1] - got[None, :, 1]))
+    swapped = np.maximum(np.abs(ref[:, None, 0] - got[None, :, 1]), np.abs(ref[:, None, 1] - got[None, :, 0]))
+    gaps = np.minimum(same, swapped)
+    assert gaps.min(axis=0).max() <= 1e-10
+    assert gaps.min(axis=1).max() <= 1e-10
+
+
+@pytest.mark.parametrize("im_window, centre_in", [((-1.05, 0.95), False), ((-0.95, 1.05), True)])
+def test_saddle_cell_cuts_off_corners_unlike_its_centre(monkeypatch, im_window, centre_in):
+    monkeypatch.setattr(analysis, "scalar_amplification", _product_field)
+    field = stability_scan(0.0, window=(-1.1, 0.9) + im_window, resolution=16)
+    re, im = field.re_axis, field.im_axis
+    i, j = np.searchsorted(re, 0.0) - 1, np.searchsorted(im, 0.0) - 1
+    assert re[i] < 0.0 < re[i + 1] and im[j] < 0.0 < im[j + 1]
+    centre = complex(0.5 * (re[i] + re[i + 1]), 0.5 * (im[j] + im[j + 1]))
+    assert (centre.real * centre.imag >= 0.0) == centre_in
+
+    def cell_edge(p):
+        """Which edge of the origin's cell a boundary point lies on, if any."""
+        inner_re, inner_im = re[i] < p[0] < re[i + 1], im[j] < p[1] < im[j + 1]
+        sides = {"bottom": inner_re and p[1] == im[j], "right": inner_im and p[0] == re[i + 1],
+                 "top": inner_re and p[1] == im[j + 1], "left": inner_im and p[0] == re[i]}
+        return next((name for name, hit in sides.items() if hit), None)
+
+    crossings = {cell_edge(p) for p in np.vstack(field.boundary)} - {None}
+    assert crossings == {"bottom", "right", "top", "left"}
+    segments = {frozenset((cell_edge(a), cell_edge(b)))
+                for line in field.boundary for a, b in zip(line[:-1], line[1:])
+                if cell_edge(a) and cell_edge(b)}
+    # corners by the two edges that meet there; quadrants I and III are inside
+    corners = {frozenset(("bottom", "left")): True, frozenset(("bottom", "right")): False,
+               frozenset(("top", "right")): True, frozenset(("top", "left")): False}
+    assert segments == {edges for edges, corner_in in corners.items() if corner_in != centre_in}
+
+
+def test_scan_amplification_calls_do_not_grow_with_resolution(monkeypatch):
+    counts = {}
+
+    def counted(x, y):
+        counts[resolution] += 1
+        return scalar_amplification(x, y)
+
+    monkeypatch.setattr(analysis, "scalar_amplification", counted)
+    for resolution in (64, 256):
+        counts[resolution] = 0
+        stability_scan(-5j, window=(-15.0, 12.0, -16.0, 16.0), resolution=resolution)
+    assert counts[256] <= counts[64] <= 50
 
 
 # ------------------------------------------------------------------ output
@@ -215,6 +346,17 @@ def test_field_csv_format(tmp_path):
     assert header == "re_x,im_x,abs_r"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (16 * 16, 3)
+
+
+def test_field_csv_bytes_match_savetxt(tmp_path):
+    field = stability_scan(-5j, window=(-4.0, 2.0, -6.0, 6.0), resolution=32)
+    re = np.broadcast_to(field.re_axis[None, :], field.magnitudes.shape)
+    im = np.broadcast_to(field.im_axis[:, None], field.magnitudes.shape)
+    data = np.column_stack([re.ravel(), im.ravel(), field.magnitudes.ravel()])
+    np.savetxt(tmp_path / "savetxt.csv", data, delimiter=",", fmt="%.17e",
+               header="re_x,im_x,abs_r", comments="")
+    write_field_csv(field, tmp_path / "field.csv")
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
 
 
 def test_boundary_csv_format(tmp_path):
