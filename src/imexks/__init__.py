@@ -2,7 +2,6 @@
 space, partial-fraction IMEX Runge-Kutta of order four in time."""
 
 from .analysis import (
-    ErrorReport,
     StabilityField,
     amplification_factor,
     gre,
@@ -14,10 +13,8 @@ from .analysis import (
 )
 from .compact_fd import (
     BoundaryScheme,
-    DerivativeOperator,
     Grid,
     build_first_derivative,
-    build_fourth_derivative,
     build_second_derivative,
 )
 from .problems import ProblemSpec, example1_exact, make_problem
@@ -26,9 +23,7 @@ from .stepper import (
     InstabilityError,
     StepperWorkspace,
     coefficients,
-    derive_coefficients,
     integrate,
-    phi_scalar,
     prepare,
     step,
     step_dense_reference,
@@ -39,8 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryScheme",
-    "DerivativeOperator",
-    "ErrorReport",
     "Grid",
     "ImexCoefficients",
     "InstabilityError",
@@ -52,10 +45,8 @@ __all__ = [
     "amplification_factor",
     "assemble",
     "build_first_derivative",
-    "build_fourth_derivative",
     "build_second_derivative",
     "coefficients",
-    "derive_coefficients",
     "example1_exact",
     "gre",
     "integrate",
@@ -63,7 +54,6 @@ __all__ = [
     "make_problem",
     "max_norm_error",
     "observed_order",
-    "phi_scalar",
     "prepare",
     "self_difference_error",
     "stability_scan",

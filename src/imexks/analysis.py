@@ -4,33 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .stepper import scalar_amplification
 
 amplification_factor = scalar_amplification
-
-
-@dataclass
-class ErrorReport:
-    """Errors, observed order and timing of one run."""
-
-    max_norm: float
-    gre: Optional[float] = None
-    e_k: Optional[float] = None
-    observed_order: Optional[float] = None
-    cpu_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "max_norm": self.max_norm,
-            "gre": self.gre,
-            "e_k": self.e_k,
-            "observed_order": self.observed_order,
-            "cpu_seconds": self.cpu_seconds,
-        }
 
 
 def _pair(exact, numeric) -> Tuple[np.ndarray, np.ndarray]:
@@ -90,6 +70,7 @@ def linear_truncation_check(l_value: float, r_value: float,
 
 
 DEFAULT_WINDOW = (-8.0, 4.0, -8.0, 8.0)
+DEFAULT_RESOLUTION = 512
 
 
 @dataclass(eq=False)
@@ -174,7 +155,8 @@ def _link_segments(tails: np.ndarray, heads: np.ndarray, points: np.ndarray) -> 
     return polylines
 
 
-def stability_scan(y, window: tuple = DEFAULT_WINDOW, resolution: int = 512) -> StabilityField:
+def stability_scan(y, window: tuple = DEFAULT_WINDOW,
+                   resolution: int = DEFAULT_RESOLUTION) -> StabilityField:
     """Sample |r(x, y)| on the window and extract the |r| = 1 level set.
 
     Marching squares over the sample grid: every grid edge whose two samples

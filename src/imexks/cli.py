@@ -25,8 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import analysis, stepper
-from .analysis import ErrorReport
-from .compact_fd import BoundaryScheme
+from .compact_fd import MIN_OPERATOR_POINTS, BoundaryScheme
 from .problems import ProblemSpec, make_problem
 from .stepper import InstabilityError
 
@@ -38,24 +37,6 @@ LITERATURE_GRE = {
     "qbsc": {6.0: 6.509e-06, 8.0: 7.132e-06, 10.0: 7.310e-06, 12.0: 8.776e-06},
     "lbm": {6.0: 7.881e-06, 8.0: 9.532e-06, 10.0: 1.089e-05, 12.0: 1.179e-05},
 }
-
-MODES = ("solve", "converge-space-time", "converge-time", "stability", "gre-table")
-
-_KEY_TO_FIELD = {
-    "mode": "mode",
-    "problem": "problem",
-    "N": "n_points",
-    "h": "h",
-    "k": "k",
-    "T": "t_final",
-    "snapshots": "snapshots",
-    "times": "times",
-    "beta": "beta",
-    "y": "y",
-    "window": "window",
-    "resolution": "resolution",
-}
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 
 
 class ConfigError(ValueError):
@@ -97,80 +78,103 @@ class ExperimentConfig:
     beta: Optional[float] = None
     y: Tuple[str, ...] = ()
     window: Optional[Tuple[float, float, float, float]] = None
-    resolution: int = 512
+    resolution: Optional[int] = None
 
     def y_values(self) -> Tuple[complex, ...]:
         return tuple(parse_y_value(label) for label in self.y)
 
-    def k_list(self) -> Tuple[float, ...]:
-        return self.k if isinstance(self.k, tuple) else (self.k,)
 
-    def h_list(self) -> Tuple[float, ...]:
-        return self.h if isinstance(self.h, tuple) else (self.h,)
-
-
-def _coerce(key: str, value):
-    if key == "mode":
-        return str(value)
-    if key == "problem":
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"problem must be an integer, got {value!r}")
-        return value
-    if key == "N":
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"N must be an integer, got {value!r}")
-        return value
-    if key == "resolution":
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"resolution must be an integer, got {value!r}")
-        return value
-    if key in ("h", "k"):
-        if isinstance(value, (list, tuple)):
-            return tuple(float(v) for v in value)
-        return float(value)
-    if key in ("T", "beta"):
-        return float(value)
-    if key in ("snapshots", "times"):
-        if not isinstance(value, (list, tuple)):
-            value = [value]
-        return tuple(float(v) for v in value)
-    if key == "y":
-        if not isinstance(value, (list, tuple)):
-            value = [value]
-        labels = tuple(str(v) for v in value)
-        for label in labels:
-            parse_y_value(label)  # fail fast on malformed entries
-        return labels
-    if key == "window":
-        if not (isinstance(value, (list, tuple)) and len(value) == 4):
-            raise ConfigError("window must be [re_min, re_max, im_min, im_max]")
-        return tuple(float(v) for v in value)
-    raise ConfigError(f"unknown config key {key!r}")
+def _integer(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"expected an integer, got {value!r}")
+    return value
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a flat JSON configuration document."""
+def _floats(value) -> Tuple[float, ...]:
+    return tuple(map(float, value if isinstance(value, (list, tuple)) else [value]))
+
+
+def _float_or_list(value):
+    return _floats(value) if isinstance(value, (list, tuple)) else float(value)
+
+
+def _y_labels(value) -> Tuple[str, ...]:
+    labels = tuple(str(v) for v in (value if isinstance(value, (list, tuple)) else [value]))
+    tuple(map(parse_y_value, labels))  # fail fast on malformed entries
+    return labels
+
+
+def _window(value) -> Tuple[float, ...]:
+    if not (isinstance(value, (list, tuple)) and len(value) == 4):
+        raise ConfigError("window must be [re_min, re_max, im_min, im_max]")
+    return _floats(value)
+
+
+# config key -> (ExperimentConfig field, coercer of the JSON value)
+_KEYS = {
+    "mode": ("mode", str),
+    "problem": ("problem", _integer),
+    "N": ("n_points", _integer),
+    "h": ("h", _float_or_list),
+    "k": ("k", _float_or_list),
+    "T": ("t_final", float),
+    "snapshots": ("snapshots", _floats),
+    "times": ("times", _floats),
+    "beta": ("beta", float),
+    "y": ("y", _y_labels),
+    "window": ("window", _window),
+    "resolution": ("resolution", _integer),
+}
+_FIELD_TO_KEY = {name: key for key, (name, _) in _KEYS.items()}
+
+# mode -> (subcommand, required keys, rejected keys, keys that take a list)
+_STABILITY_KEYS = ("y", "window", "resolution")
+_MODES = {
+    "solve": ("solve", ("problem", "k", "T"), ("times", *_STABILITY_KEYS), ()),
+    "converge-space-time": ("converge", ("problem", "h", "k", "T"),
+                            ("N", "snapshots", "times", *_STABILITY_KEYS), ("h", "k")),
+    "converge-time": ("converge", ("problem", "N", "k", "T"),
+                      ("h", "snapshots", "times", *_STABILITY_KEYS), ("k",)),
+    "stability": ("stability", ("y",),
+                  ("problem", "N", "h", "k", "T", "snapshots", "times", "beta"), ()),
+    "gre-table": ("table", ("problem", "N", "k", "times"),
+                  ("h", "snapshots", *_STABILITY_KEYS), ()),
+}
+MODES = tuple(_MODES)
+
+
+def _given(value) -> bool:
+    return value is not None and value != ()
+
+
+def _json_object(text: str) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object of flat keys")
-    return config_from_dict(data)
+    return data
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and validate a flat JSON configuration document."""
+    return config_from_dict(_json_object(text))
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     kwargs = {}
     for key, value in data.items():
-        if key not in _KEY_TO_FIELD:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        name, coerce = _KEYS[key]
         try:
-            kwargs[_KEY_TO_FIELD[key]] = _coerce(key, value)
+            kwargs[name] = coerce(value)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad value for {key!r}: {err}") from err
-    cfg = ExperimentConfig(**kwargs) if "mode" in kwargs else None
-    if cfg is None:
+    if "mode" not in kwargs:
         raise ConfigError("config requires a mode")
+    cfg = ExperimentConfig(**kwargs)
     validate_config(cfg)
     return cfg
 
@@ -180,404 +184,261 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     data = {}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if f.name in ("snapshots", "times", "y") and len(value) == 0:
-            continue
-        if f.name == "resolution" and cfg.mode != "stability":
-            continue
-        if isinstance(value, tuple):
-            value = list(value)
-        data[_FIELD_TO_KEY[f.name]] = value
+        if _given(value):
+            data[_FIELD_TO_KEY[f.name]] = list(value) if isinstance(value, tuple) else value
     return json.dumps(data, indent=2) + "\n"
+
+
+def _override_value(raw: str):
+    """JSON if it parses, else a comma-separated list of such values, else the text."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return [_override_value(item.strip()) for item in raw.split(",")] if "," in raw else raw
 
 
 def apply_overrides(data: dict, pairs) -> dict:
     """Fold --set key=value pairs into a raw config dictionary."""
     out = dict(data)
     for pair in pairs or ():
-        if "=" not in pair:
+        key, sep, raw = pair.partition("=")
+        if not sep:
             raise ConfigError(f"override {pair!r} is not of the form key=value")
-        key, raw = pair.split("=", 1)
-        key = key.strip()
-        raw = raw.strip()
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            if "," in raw:
-                value = []
-                for item in raw.split(","):
-                    try:
-                        value.append(json.loads(item))
-                    except json.JSONDecodeError:
-                        value.append(item.strip())
-            else:
-                value = raw
-        out[key] = value
+        out[key.strip()] = _override_value(raw.strip())
     return out
 
 
-def _require(cfg: ExperimentConfig, names, forbid):
-    for name in names:
-        value = getattr(cfg, name)
-        if value is None or (isinstance(value, tuple) and len(value) == 0):
-            raise ConfigError(f"mode {cfg.mode!r} requires {_FIELD_TO_KEY[name]!r}")
-    for name in forbid:
-        value = getattr(cfg, name)
-        if value is not None and not (isinstance(value, tuple) and len(value) == 0):
-            raise ConfigError(f"mode {cfg.mode!r} does not accept {_FIELD_TO_KEY[name]!r}")
+def _run_points(cfg: ExperimentConfig, spec: ProblemSpec) -> Tuple[int, ...]:
+    """Node count of each run, aligned with the k list."""
+    if cfg.n_points is not None:
+        return (cfg.n_points,) * len(_floats(cfg.k))
+    length = spec.domain[1] - spec.domain[0]
+    if not all(_near_multiple(length, h) for h in _floats(cfg.h)):
+        raise ConfigError(f"h = {cfg.h} does not divide the domain length {length}")
+    walls = 0 if spec.scheme is BoundaryScheme.PERIODIC else 1
+    return tuple(int(round(length / h)) + walls for h in _floats(cfg.h))
 
 
 def validate_config(cfg: ExperimentConfig):
-    if cfg.mode not in MODES:
+    if cfg.mode not in _MODES:
         raise ConfigError(f"unknown mode {cfg.mode!r}; expected one of {MODES}")
-
+    _, required, rejected, lists = _MODES[cfg.mode]
+    for key in required + rejected:
+        if _given(getattr(cfg, _KEYS[key][0])) != (key in required):
+            verb = "requires" if key in required else "does not accept"
+            raise ConfigError(f"mode {cfg.mode!r} {verb} {key!r}")
     if cfg.mode == "stability":
-        _require(cfg, ["y"], ["problem", "n_points", "h", "k", "t_final",
-                              "snapshots", "times", "beta"])
-        if cfg.resolution < 16:
+        if cfg.resolution is not None and cfg.resolution < 16:
             raise ConfigError("stability resolution must be at least 16")
-        if cfg.window is not None:
-            re_min, re_max, im_min, im_max = cfg.window
-            if not (re_max > re_min and im_max > im_min):
-                raise ConfigError("window must satisfy re_min < re_max and im_min < im_max")
+        re_min, re_max, im_min, im_max = cfg.window or analysis.DEFAULT_WINDOW
+        if not (re_max > re_min and im_max > im_min):
+            raise ConfigError("window must satisfy re_min < re_max and im_min < im_max")
         return
-
-    if cfg.problem not in (1, 2, 3, 4):
-        raise ConfigError(f"problem must be 1..4, got {cfg.problem}")
-    if cfg.beta is not None and cfg.problem != 4:
-        raise ConfigError("beta override is only available for problem 4")
-    if cfg.window is not None or cfg.y:
-        raise ConfigError(f"mode {cfg.mode!r} does not accept stability keys")
-
-    if cfg.mode == "solve":
-        _require(cfg, ["k", "t_final"], ["times"])
-        if isinstance(cfg.k, tuple):
-            raise ConfigError("solve takes a single time step")
-        if (cfg.n_points is None) == (cfg.h is None):
-            raise ConfigError("solve requires exactly one of N or h")
-        if cfg.h is not None and isinstance(cfg.h, tuple):
-            raise ConfigError("solve takes a single spacing h")
-        if cfg.k <= 0 or cfg.t_final <= 0:
-            raise ConfigError("k and T must be positive")
-        if not _near_multiple(cfg.t_final, cfg.k):
-            raise ConfigError(f"T = {cfg.t_final} is not an integer multiple of k = {cfg.k}")
-        for t_snap in cfg.snapshots:
-            if t_snap < 0 or t_snap > cfg.t_final or not _near_multiple(t_snap, cfg.k):
-                raise ConfigError(f"snapshot time {t_snap} is not a step multiple within [0, T]")
-        return
-
-    if cfg.mode == "converge-space-time":
-        _require(cfg, ["h", "k", "t_final"], ["n_points", "snapshots", "times"])
-        if cfg.problem != 1:
-            raise ConfigError("space-time convergence requires the problem with an exact solution")
-        h_seq, k_seq = cfg.h, cfg.k
-        if not (isinstance(h_seq, tuple) and isinstance(k_seq, tuple)):
-            raise ConfigError("converge-space-time requires h and k lists")
-        if len(h_seq) != len(k_seq) or len(h_seq) < 2:
-            raise ConfigError("h and k lists must have equal length >= 2")
-        if not (_is_halving(h_seq) and _is_halving(k_seq)):
+    if cfg.mode == "solve" and (cfg.n_points is None) == (cfg.h is None):
+        raise ConfigError("solve requires exactly one of N or h")
+    for key in ("h", "k"):
+        value = getattr(cfg, key)
+        if value is not None and isinstance(value, tuple) != (key in lists):
+            what = "a list" if key in lists else "a single value"
+            raise ConfigError(f"mode {cfg.mode!r} takes {what} for {key!r}")
+    if any(min(_floats(v)) <= 0 for v in (cfg.h, cfg.k, cfg.t_final) if v is not None):
+        raise ConfigError("h, k and T must be positive")
+    if lists:
+        if cfg.h is not None and len(cfg.h) != len(cfg.k):
+            raise ConfigError("h and k lists must have equal length")
+        if len(cfg.k) < 2:
+            raise ConfigError("refinement lists need at least two levels")
+        if not all(_is_halving(getattr(cfg, key)) for key in lists):
             raise ConfigError("refinement lists must halve at every level")
-        for k_val in k_seq:
-            if not _near_multiple(cfg.t_final, k_val):
-                raise ConfigError(f"T = {cfg.t_final} is not an integer multiple of k = {k_val}")
-        return
 
-    if cfg.mode == "converge-time":
-        _require(cfg, ["n_points", "k", "t_final"], ["h", "snapshots", "times"])
-        k_seq = cfg.k
-        if not isinstance(k_seq, tuple) or len(k_seq) < 2:
-            raise ConfigError("converge-time requires a k list of length >= 2")
-        if not _is_halving(k_seq):
-            raise ConfigError("k list must halve at every level")
-        for k_val in (2.0 * k_seq[0],) + k_seq:
-            if not _near_multiple(cfg.t_final, k_val):
-                raise ConfigError(f"T = {cfg.t_final} is not an integer multiple of k = {k_val}")
-        return
-
-    # gre-table
-    _require(cfg, ["n_points", "k", "times"], ["h", "snapshots"])
-    if cfg.problem != 1:
-        raise ConfigError("the GRE table requires the problem with an exact solution")
-    if isinstance(cfg.k, tuple):
-        raise ConfigError("gre-table takes a single time step")
-    if list(cfg.times) != sorted(cfg.times) or len(set(cfg.times)) != len(cfg.times):
+    # converge-time also runs a reference at twice the first step
+    steps = _floats(cfg.k) + ((2.0 * cfg.k[0],) if cfg.mode == "converge-time" else ())
+    for k_val in steps:
+        if cfg.t_final is not None and not _near_multiple(cfg.t_final, k_val):
+            raise ConfigError(f"T = {cfg.t_final} is not an integer multiple of k = {k_val}")
+    for t_snap in cfg.snapshots:
+        if t_snap < 0 or t_snap > cfg.t_final or not _near_multiple(t_snap, cfg.k):
+            raise ConfigError(f"snapshot time {t_snap} is not a step multiple within [0, T]")
+    if list(cfg.times) != sorted(set(cfg.times)):
         raise ConfigError("times must be strictly increasing")
     for t_val in cfg.times:
         if t_val <= 0 or not _near_multiple(t_val, cfg.k):
             raise ConfigError(f"time {t_val} is not a positive step multiple")
-    if cfg.t_final is not None and cfg.t_final < max(cfg.times):
+    if cfg.times and cfg.t_final is not None and cfg.t_final < cfg.times[-1]:
         raise ConfigError("T must cover the last requested time")
+    try:
+        spec = make_problem(cfg.problem, beta=cfg.beta)
+        for n_points in set(_run_points(cfg, spec)):
+            spec.grid(n_points)
+            if spec.scheme is BoundaryScheme.DIRICHLET and n_points < MIN_OPERATOR_POINTS:
+                raise ConfigError(f"a Dirichlet grid needs at least {MIN_OPERATOR_POINTS} "
+                                  f"points, got {n_points}")
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    if cfg.mode in ("converge-space-time", "gre-table") and spec.exact_solution is None:
+        raise ConfigError(f"mode {cfg.mode!r} requires the problem with an exact solution")
 
 
-def _points_from_spacing(spec: ProblemSpec, h: float) -> int:
-    length = spec.domain[1] - spec.domain[0]
-    intervals = length / h
-    if not _near_multiple(length, h):
-        raise ConfigError(f"h = {h} does not divide the domain length {length}")
-    n_intervals = int(round(intervals))
-    if spec.scheme is BoundaryScheme.PERIODIC:
-        return n_intervals
-    return n_intervals + 1
+def _timed_run(spec: ProblemSpec, n_points: int, k: float, t_final: float, capture=()):
+    """(system, final state, {t: state copy} at the ``capture`` times, wall timings)."""
+    wanted = {round(t_val / k): t_val for t_val in capture}
+    captured = {}
 
+    def observer(t_now, u_now):
+        t_val = wanted.get(round(t_now / k))
+        if t_val is not None:
+            captured[t_val] = np.array(u_now, copy=True)
 
-def _resolve_points(cfg: ExperimentConfig, spec: ProblemSpec, h=None) -> int:
-    if h is not None:
-        return _points_from_spacing(spec, h)
-    if cfg.n_points is not None:
-        return cfg.n_points
-    return _points_from_spacing(spec, cfg.h)
-
-
-def _timed_run(spec: ProblemSpec, n_points: int, k: float, t_final: float, observer=None):
-    """Integrate one configuration; returns (system, final state, timings)."""
     t0 = time.perf_counter()
     sys_ = spec.build_system(n_points)
     u0 = spec.initial_state(sys_)
     ws = stepper.prepare(sys_, k)
-    t_setup = time.perf_counter() - t0
     t1 = time.perf_counter()
-    u_final = stepper.integrate(sys_, u0, k, t_final, observer=observer, workspace=ws)
-    t_loop = time.perf_counter() - t1
-    return sys_, u_final, {"cpu_loop_seconds": t_loop, "cpu_total_seconds": t_setup + t_loop}
+    u_final = stepper.integrate(sys_, u0, k, t_final, observer=observer if wanted else None,
+                                workspace=ws)
+    t2 = time.perf_counter()
+    return sys_, u_final, captured, {"wall_loop_seconds": t2 - t1, "wall_total_seconds": t2 - t0}
 
 
 def _fmt(value) -> str:
     return "" if value is None else f"{value:.3E}"
 
 
-def _write_table(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_field(path: Path, x: np.ndarray, u: np.ndarray):
-    np.savetxt(path, np.column_stack([x, u]), delimiter=",", fmt="%.17e",
-               header="x,u", comments="")
-
-
-def _time_label(t_val: float) -> str:
-    return f"{t_val:g}"
-
-
-def _sanitize_label(label: str) -> str:
-    return "".join(ch if (ch.isalnum() or ch in "+-.") else "_" for ch in label)
+def _write_table(out: Path, report: dict, header, rows):
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    (out / "table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    report["outputs"].append("table.csv")
 
 
 def run(cfg: ExperimentConfig, out_dir) -> dict:
     """Execute the experiment and write report.json plus CSV outputs.
 
-    On numerical instability the partial report is still written before the
-    error propagates.
+    When a run fails, the partial report is still written before the error
+    propagates; a numerical instability is recorded in it.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = {
-        "config": json.loads(serialize_config(cfg)),
-        "mode": cfg.mode,
-        "rows": [],
-        "outputs": [],
-    }
+    report = {"config": json.loads(serialize_config(cfg)), "mode": cfg.mode,
+              "rows": [], "outputs": []}
     try:
-        if cfg.mode == "solve":
-            _run_solve(cfg, out, report)
-        elif cfg.mode == "converge-space-time":
-            _run_converge_space_time(cfg, out, report)
-        elif cfg.mode == "converge-time":
-            _run_converge_time(cfg, out, report)
-        elif cfg.mode == "gre-table":
-            _run_gre_table(cfg, out, report)
-        else:
-            _run_stability(cfg, out, report)
+        spec = None if cfg.mode == "stability" else make_problem(cfg.problem, beta=cfg.beta)
+        _RUNNERS[cfg.mode](cfg, spec, out, report)
     except InstabilityError as err:
-        report["instability"] = {
-            "message": str(err),
-            "step_index": err.step_index,
-            "time": err.time,
-            "max_abs": err.max_abs,
-        }
-        _write_report(out, report)
+        report["instability"] = {"message": str(err), "step_index": err.step_index,
+                                 "time": err.time, "max_abs": err.max_abs}
         raise
-    _write_report(out, report)
+    finally:
+        (out / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return report
 
 
-def _write_report(out: Path, report: dict):
-    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-
-
-def _run_solve(cfg: ExperimentConfig, out: Path, report: dict):
-    spec = make_problem(cfg.problem, beta=cfg.beta)
-    n_points = _resolve_points(cfg, spec)
-    snapshots = cfg.snapshots or (cfg.t_final,)
-    wanted = {round(t_val / cfg.k): t_val for t_val in snapshots}
-    captured = {}
-
-    def observer(t_now, u_now):
-        idx = round(t_now / cfg.k)
-        if idx in wanted:
-            captured[wanted[idx]] = np.array(u_now, copy=True)
-
-    sys_, u_final, timings = _timed_run(spec, n_points, cfg.k, cfg.t_final, observer)
+def _run_solve(cfg: ExperimentConfig, spec: ProblemSpec, out: Path, report: dict):
+    (n_points,) = _run_points(cfg, spec)
+    sys_, u_final, captured, timings = _timed_run(spec, n_points, cfg.k, cfg.t_final,
+                                                  cfg.snapshots or (cfg.t_final,))
     x_full = sys_.grid.nodes()
     for t_snap in sorted(captured):
-        name = f"field_t{_time_label(t_snap)}.csv"
-        _write_field(out / name, x_full, sys_.full_state(captured[t_snap]))
+        name = f"field_t{t_snap:g}.csv"
+        np.savetxt(out / name, np.column_stack([x_full, sys_.full_state(captured[t_snap])]),
+                   delimiter=",", fmt="%.17e", header="x,u", comments="")
         report["outputs"].append(name)
-    row = {
-        "n_points": n_points,
-        "h": sys_.grid.h,
-        "k": cfg.k,
-        "T": cfg.t_final,
-        **timings,
-    }
+    row = {"n_points": n_points, "h": sys_.grid.h, "k": cfg.k, "T": cfg.t_final, **timings}
     if spec.exact_solution is not None:
         exact = spec.exact_solution(sys_.active_nodes(), cfg.t_final)
-        err = ErrorReport(
-            max_norm=analysis.max_norm_error(exact, u_final),
-            gre=analysis.gre(exact, u_final),
-            cpu_seconds=timings["cpu_loop_seconds"],
-        )
-        row.update(err.to_dict())
+        row.update(max_norm=analysis.max_norm_error(exact, u_final),
+                   gre=analysis.gre(exact, u_final), e_k=None, observed_order=None,
+                   wall_seconds=timings["wall_loop_seconds"])
     report["rows"].append(row)
-    header = ["n_points", "h", "k", "T", "max_norm", "gre", "cpu_loop_s"]
-    _write_table(out / "table.csv", header, [[
+    _write_table(out, report, ["n_points", "h", "k", "T", "max_norm", "gre", "wall_loop_s"], [[
         str(n_points), f"{sys_.grid.h:g}", f"{cfg.k:g}", f"{cfg.t_final:g}",
-        _fmt(row.get("max_norm")), _fmt(row.get("gre")), f"{timings['cpu_loop_seconds']:.4f}",
+        _fmt(row.get("max_norm")), _fmt(row.get("gre")), f"{timings['wall_loop_seconds']:.4f}",
     ]])
-    report["outputs"].append("table.csv")
 
 
-def _run_converge_space_time(cfg: ExperimentConfig, out: Path, report: dict):
-    spec = make_problem(cfg.problem, beta=cfg.beta)
-    errors = []
-    rows_csv = []
-    for h_val, k_val in zip(cfg.h_list(), cfg.k_list()):
-        n_points = _resolve_points(cfg, spec, h=h_val)
-        sys_, u_final, timings = _timed_run(spec, n_points, k_val, cfg.t_final)
-        exact = spec.exact_solution(sys_.active_nodes(), cfg.t_final)
-        e_inf = analysis.max_norm_error(exact, u_final)
-        order = analysis.observed_order(errors[-1], e_inf) if errors else None
-        errors.append(e_inf)
-        row = {
-            "n_points": n_points, "h": h_val, "k": k_val, "T": cfg.t_final,
-            "max_norm": e_inf, "gre": analysis.gre(exact, u_final),
-            "observed_order": order, **timings,
-        }
-        report["rows"].append(row)
-        rows_csv.append([
-            str(n_points), f"{h_val:g}", f"{k_val:g}", f"{cfg.t_final:g}",
-            _fmt(e_inf), "" if order is None else f"{order:.4f}",
-            f"{timings['cpu_loop_seconds']:.4f}",
-        ])
-    _write_table(out / "table.csv",
-                 ["n_points", "h", "k", "T", "max_norm", "order", "cpu_loop_s"], rows_csv)
-    report["outputs"].append("table.csv")
-
-
-def _run_converge_time(cfg: ExperimentConfig, out: Path, report: dict):
-    spec = make_problem(cfg.problem, beta=cfg.beta)
-    n_points = cfg.n_points
-    k_seq = cfg.k_list()
-    k_ref = 2.0 * k_seq[0]
-    _, u_prev, timings_ref = _timed_run(spec, n_points, k_ref, cfg.t_final)
-    report["reference_run"] = {"k": k_ref, **timings_ref}
+def _run_converge(cfg: ExperimentConfig, spec: ProblemSpec, out: Path, report: dict):
+    """Space-time mode: max-norm error against the exact solution per (h, k).
+    Time mode: E_k against the run at twice the step, starting from 2 k[0]."""
+    space_time = cfg.mode == "converge-space-time"
+    if not space_time:
+        k_ref = 2.0 * cfg.k[0]
+        _, u_prev, _, timings = _timed_run(spec, cfg.n_points, k_ref, cfg.t_final)
+        report["reference_run"] = {"k": k_ref, **timings}
+    error_key = "max_norm" if space_time else "e_k"
     e_prev = None
     rows_csv = []
-    grid_h = spec.grid(n_points).h
-    for k_val in k_seq:
-        sys_, u_final, timings = _timed_run(spec, n_points, k_val, cfg.t_final)
-        e_k = analysis.self_difference_error(u_final, u_prev)
-        order = analysis.observed_order(e_prev, e_k) if e_prev is not None else None
-        row = {
-            "n_points": n_points, "h": grid_h, "k": k_val, "T": cfg.t_final,
-            "e_k": e_k, "observed_order": order, **timings,
-        }
+    for n_points, k_val in zip(_run_points(cfg, spec), cfg.k):
+        sys_, u_final, _, timings = _timed_run(spec, n_points, k_val, cfg.t_final)
+        row = {"n_points": n_points, "h": sys_.grid.h, "k": k_val, "T": cfg.t_final}
+        if space_time:
+            exact = spec.exact_solution(sys_.active_nodes(), cfg.t_final)
+            row.update(max_norm=analysis.max_norm_error(exact, u_final),
+                       gre=analysis.gre(exact, u_final))
+        else:
+            row["e_k"] = analysis.self_difference_error(u_final, u_prev)
+            u_prev = u_final
+        error = row[error_key]
+        order = None if e_prev is None else analysis.observed_order(e_prev, error)
+        row.update(observed_order=order, **timings)
         report["rows"].append(row)
         rows_csv.append([
-            str(n_points), f"{grid_h:g}", f"{k_val:g}", f"{cfg.t_final:g}",
-            _fmt(e_k), "" if order is None else f"{order:.4f}",
-            f"{timings['cpu_loop_seconds']:.4f}",
+            str(n_points), f"{sys_.grid.h:g}", f"{k_val:g}", f"{cfg.t_final:g}", _fmt(error),
+            "" if order is None else f"{order:.4f}", f"{timings['wall_loop_seconds']:.4f}",
         ])
-        u_prev, e_prev = u_final, e_k
-    _write_table(out / "table.csv",
-                 ["n_points", "h", "k", "T", "e_k", "order", "cpu_loop_s"], rows_csv)
-    report["outputs"].append("table.csv")
+        e_prev = error
+    _write_table(out, report, ["n_points", "h", "k", "T", error_key, "order", "wall_loop_s"],
+                 rows_csv)
 
 
-def _run_gre_table(cfg: ExperimentConfig, out: Path, report: dict):
-    spec = make_problem(cfg.problem)
-    n_points = cfg.n_points
+def _run_gre_table(cfg: ExperimentConfig, spec: ProblemSpec, out: Path, report: dict):
     t_final = cfg.t_final if cfg.t_final is not None else max(cfg.times)
-    wanted = {round(t_val / cfg.k): t_val for t_val in cfg.times}
-    captured = {}
-
-    def observer(t_now, u_now):
-        idx = round(t_now / cfg.k)
-        if idx in wanted:
-            captured[wanted[idx]] = np.array(u_now, copy=True)
-
-    sys_, _, timings = _timed_run(spec, n_points, cfg.k, t_final, observer)
+    sys_, _, captured, timings = _timed_run(spec, cfg.n_points, cfg.k, t_final, cfg.times)
     x_active = sys_.active_nodes()
     rows_csv = []
     for t_val in cfg.times:
-        exact = spec.exact_solution(x_active, t_val)
-        gre_val = analysis.gre(exact, captured[t_val])
-        row = {
-            "n_points": n_points, "h": sys_.grid.h, "k": cfg.k, "time": t_val,
-            "gre": gre_val,
+        gre_val = analysis.gre(spec.exact_solution(x_active, t_val), captured[t_val])
+        report["rows"].append({
+            "n_points": cfg.n_points, "h": sys_.grid.h, "k": cfg.k, "time": t_val, "gre": gre_val,
             "literature": {name: table.get(t_val) for name, table in LITERATURE_GRE.items()},
-        }
-        report["rows"].append(row)
+        })
         rows_csv.append([
-            str(n_points), f"{sys_.grid.h:g}", f"{cfg.k:g}", f"{t_val:g}", _fmt(gre_val),
-            *(_fmt(LITERATURE_GRE[name].get(t_val)) for name in ("sbsc", "qbsc", "lbm")),
+            str(cfg.n_points), f"{sys_.grid.h:g}", f"{cfg.k:g}", f"{t_val:g}", _fmt(gre_val),
+            *(_fmt(table.get(t_val)) for table in LITERATURE_GRE.values()),
         ])
     report["timings"] = timings
-    _write_table(out / "table.csv",
-                 ["n_points", "h", "k", "time", "gre", "gre_sbsc_literature",
-                  "gre_qbsc_literature", "gre_lbm_literature"], rows_csv)
-    report["outputs"].append("table.csv")
+    _write_table(out, report, ["n_points", "h", "k", "time", "gre", "gre_sbsc_literature",
+                               "gre_qbsc_literature", "gre_lbm_literature"], rows_csv)
 
 
-def _run_stability(cfg: ExperimentConfig, out: Path, report: dict):
+def _run_stability(cfg: ExperimentConfig, _spec, out: Path, report: dict):
     window = cfg.window if cfg.window is not None else analysis.DEFAULT_WINDOW
+    resolution = cfg.resolution if cfg.resolution is not None else analysis.DEFAULT_RESOLUTION
     for label, y_val in zip(cfg.y, cfg.y_values()):
         t0 = time.perf_counter()
-        field_ = analysis.stability_scan(y_val, window=window, resolution=cfg.resolution)
+        field_ = analysis.stability_scan(y_val, window=window, resolution=resolution)
         elapsed = time.perf_counter() - t0
-        tag = _sanitize_label(label)
+        tag = "".join(ch if (ch.isalnum() or ch in "+-.") else "_" for ch in label)
         field_name = f"stability_y{tag}.csv"
         boundary_name = f"boundary_y{tag}.csv"
         analysis.write_field_csv(field_, out / field_name)
         analysis.write_boundary_csv(field_, out / boundary_name)
         report["rows"].append({
-            "y": label,
-            "window": list(window),
-            "resolution": cfg.resolution,
-            "area": field_.area(),
-            "empty": field_.is_empty,
-            "n_boundary_polylines": len(field_.boundary),
-            "cpu_seconds": elapsed,
+            "y": label, "window": list(window), "resolution": resolution,
+            "area": field_.area(), "empty": field_.is_empty,
+            "n_boundary_polylines": len(field_.boundary), "wall_seconds": elapsed,
         })
         report["outputs"].extend([field_name, boundary_name])
 
 
-_SUBCOMMAND_MODES = {
-    "solve": ("solve",),
-    "converge": ("converge-space-time", "converge-time"),
-    "stability": ("stability",),
-    "table": ("gre-table",),
-}
+_RUNNERS = {"solve": _run_solve, "converge-space-time": _run_converge,
+            "converge-time": _run_converge, "stability": _run_stability,
+            "gre-table": _run_gre_table}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="imexks", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMAND_MODES:
+    for name in dict.fromkeys(subcommand for subcommand, *_ in _MODES.values()):
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -586,26 +447,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object of flat keys")
-        raw = apply_overrides(raw, args.set)
-        cfg = config_from_dict(raw)
-        if cfg.mode not in _SUBCOMMAND_MODES[args.command]:
-            raise ConfigError(
-                f"subcommand {args.command!r} cannot run mode {cfg.mode!r}")
-    except json.JSONDecodeError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+        raw = _json_object(Path(args.config).read_text(encoding="utf-8"))
+        cfg = config_from_dict(apply_overrides(raw, args.set))
+        if _MODES[cfg.mode][0] != args.command:
+            raise ConfigError(f"subcommand {args.command!r} cannot run mode {cfg.mode!r}")
+        report = run(cfg, args.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except OSError as err:
-        print(f"i/o error: {err}", file=sys.stderr)
-        return 4
-
-    try:
-        report = run(cfg, args.out)
     except InstabilityError as err:
         print(f"numerical instability: {err} (step {err.step_index}, t = {err.time})",
               file=sys.stderr)

@@ -7,11 +7,11 @@ relation ``L u^(p) = M u``.  Two representations are built here:
   discrete Fourier transform diagonalizes ``D = L^-1 M``.  The ``*_symbol``
   functions return its eigenvalues on the ``rfft`` frequencies, which is all
   the periodic solver uses (O(N) memory, O(N log N) to apply);
-* dense matrices ``D = L^-1 M`` from the ``build_*`` functions.  Dirichlet
-  grids close the ends with one-sided relations at the first and last node,
-  so the matrices act on all N nodes including the endpoints.  The builders
-  also accept periodic grids, where the circulant matrices serve as the
-  independent reference for the symbols.
+* dense matrices ``D = L^-1 M`` from the ``build_*`` functions, returned as
+  read-only ndarrays.  Dirichlet grids close the ends with one-sided
+  relations at the first and last node, so the matrices act on all N nodes
+  including the endpoints.  The builders also accept periodic grids, where
+  the circulant matrices serve as the independent reference for the symbols.
 
 For homogeneous Dirichlet problems there are also ``interior_*`` builders
 that drop the closure rows entirely and act on the N-2 interior nodes with
@@ -72,16 +72,6 @@ class Grid:
         return self.nodes()[1:-1]
 
 
-@dataclass(frozen=True, eq=False)
-class DerivativeOperator:
-    """Dense realization of a compact-difference derivative."""
-
-    order: int
-    matrix: np.ndarray
-    grid: Grid
-    scheme: BoundaryScheme
-
-
 # Interior three-point stencils (lower, diagonal, upper) of L and M.  The
 # scale factor of M (3/h and 12/h^2) is applied by the callers.
 _D1_LHS = (1.0, 4.0, 1.0)
@@ -115,11 +105,14 @@ def _materialize(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return linalg.lu_solve(linalg.lu_factor(lhs), rhs)
 
 
+# The one-sided D2 closure reaches five nodes in from each wall: the D2
+# builders, and with them every Dirichlet system, need this many nodes.
+MIN_OPERATOR_POINTS = 7
+
+
 def _check_size(grid: Grid, minimum: int, what: str):
     if grid.n_points < minimum:
         raise ValueError(f"{what} needs at least {minimum} points, grid has {grid.n_points}")
-    if grid.h <= 0:
-        raise ValueError("grid spacing must be positive")
 
 
 def _stencil_symbol(stencil, theta: np.ndarray) -> np.ndarray:
@@ -157,7 +150,7 @@ def second_derivative_symbol(grid: Grid) -> np.ndarray:
                    / _stencil_symbol(_D2_LHS, theta).real)
 
 
-def build_first_derivative(grid: Grid) -> DerivativeOperator:
+def build_first_derivative(grid: Grid) -> np.ndarray:
     """u' from u'_{i-1} + 4 u'_i + u'_{i+1} = (3/h)(u_{i+1} - u_{i-1}).
 
     Dirichlet grids close the ends with the one-sided relation
@@ -178,17 +171,17 @@ def build_first_derivative(grid: Grid) -> DerivativeOperator:
         lhs[-1, -2:] = (12.0, 4.0)
         rhs[-1, -4:] = (2.0 / 9.0, -2.0, -2.0, 34.0 / 9.0)
         rhs *= 3.0 / h
-    return DerivativeOperator(1, _freeze(_materialize(lhs, rhs)), grid, grid.scheme)
+    return _freeze(_materialize(lhs, rhs))
 
 
-def build_second_derivative(grid: Grid) -> DerivativeOperator:
+def build_second_derivative(grid: Grid) -> np.ndarray:
     """u'' from u''_{i-1} + 10 u''_i + u''_{i+1} = (12/h^2)(u_{i-1} - 2u_i + u_{i+1}).
 
     The Dirichlet closure is
     10 u''_1 + 100 u''_2 = (12/h^2)(725/72 u_1 - 190/9 u_2 + 145/12 u_3
     - 10/9 u_4 + 5/72 u_5), mirrored on the right.
     """
-    _check_size(grid, 7, "second-derivative operator")
+    _check_size(grid, MIN_OPERATOR_POINTS, "second-derivative operator")
     n = grid.n_points
     h = grid.h
     if grid.scheme is BoundaryScheme.PERIODIC:
@@ -202,42 +195,29 @@ def build_second_derivative(grid: Grid) -> DerivativeOperator:
         lhs[-1, -2:] = (100.0, 10.0)
         rhs[-1, -5:] = (5.0 / 72.0, -10.0 / 9.0, 145.0 / 12.0, -190.0 / 9.0, 725.0 / 72.0)
         rhs *= 12.0 / h**2
-    return DerivativeOperator(2, _freeze(_materialize(lhs, rhs)), grid, grid.scheme)
+    return _freeze(_materialize(lhs, rhs))
 
 
-def build_fourth_derivative(grid: Grid) -> DerivativeOperator:
-    """u'''' as the square of the assembled second-derivative operator."""
-    d2 = build_second_derivative(grid)
-    matrix = linalg.mat_product(d2.matrix, d2.matrix)
-    return DerivativeOperator(4, _freeze(matrix), grid, grid.scheme)
+def _interior(grid: Grid, minimum: int, what: str, lhs_stencil, rhs_stencil,
+              scale: float) -> np.ndarray:
+    if grid.scheme is not BoundaryScheme.DIRICHLET:
+        raise ValueError("interior operators require a Dirichlet grid")
+    _check_size(grid, minimum, what)
+    m = grid.n_points - 2
+    return _freeze(_materialize(_tridiag(m, *lhs_stencil), _tridiag(m, *rhs_stencil) * scale))
 
 
-def build_interior_first_derivative(grid: Grid) -> DerivativeOperator:
+def build_interior_first_derivative(grid: Grid) -> np.ndarray:
     """First derivative on the interior nodes of a Dirichlet grid.
 
     Rows are the plain interior relation; boundary couplings are dropped,
     which is exact when u and u' vanish at both walls.
     """
-    if grid.scheme is not BoundaryScheme.DIRICHLET:
-        raise ValueError("interior operators require a Dirichlet grid")
-    _check_size(grid, 6, "interior first-derivative operator")
-    m = grid.n_points - 2
-    lhs = _tridiag(m, *_D1_LHS)
-    rhs = _tridiag(m, *_D1_RHS) * (3.0 / grid.h)
-    return DerivativeOperator(1, _freeze(_materialize(lhs, rhs)), grid, grid.scheme)
+    return _interior(grid, 6, "interior first-derivative operator",
+                     _D1_LHS, _D1_RHS, 3.0 / grid.h)
 
 
-def build_interior_second_derivative(grid: Grid) -> DerivativeOperator:
+def build_interior_second_derivative(grid: Grid) -> np.ndarray:
     """Second derivative on the interior nodes of a Dirichlet grid (zero walls)."""
-    if grid.scheme is not BoundaryScheme.DIRICHLET:
-        raise ValueError("interior operators require a Dirichlet grid")
-    _check_size(grid, 7, "interior second-derivative operator")
-    m = grid.n_points - 2
-    lhs = _tridiag(m, *_D2_LHS)
-    rhs = _tridiag(m, *_D2_RHS) * (12.0 / grid.h**2)
-    return DerivativeOperator(2, _freeze(_materialize(lhs, rhs)), grid, grid.scheme)
-
-
-def write_operator_csv(op: DerivativeOperator, path):
-    """Debug dump of the dense operator matrix, row-major, full precision."""
-    np.savetxt(path, op.matrix, delimiter=",", fmt="%.17e")
+    return _interior(grid, MIN_OPERATOR_POINTS, "interior second-derivative operator",
+                     _D2_LHS, _D2_RHS, 12.0 / grid.h**2)

@@ -1,4 +1,4 @@
-"""Dense LU factorization with reuse, linear solves, and matrix products.
+"""Dense LU factorization with reuse and linear solves.
 
 Serves the dense compact-operator builders and the Dirichlet systems, whose
 operators and shifted stage matrices are held as dense ndarrays.  Periodic
@@ -96,17 +96,3 @@ def lu_solve(fact: LuFactorization, b, refine: int = 0) -> np.ndarray:
         x = x + scipy.linalg.lu_solve((fact.factors, fact.pivots), residual, check_finite=False)
     return x
 
-
-def mat_product(a, b) -> np.ndarray:
-    """Dense matrix product with an explicit conformance check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
-def inverse(a) -> np.ndarray:
-    """Dense inverse through the pivoted factorization (identity right-hand side)."""
-    fact = lu_factor(a)
-    return lu_solve(fact, np.eye(fact.n, dtype=fact.factors.dtype))

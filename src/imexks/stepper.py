@@ -12,13 +12,13 @@ is the reciprocal of its Fourier symbol and every stage solve is an FFT pair.
 
 A dense reference implementation of the same update, evaluated directly from
 the rational matrix functions, serves as the oracle for the partial-fraction
-path, and scalar phi-functions are provided for order checks against the
-underlying exponential integrator.
+path.
 """
 
 from __future__ import annotations
 
-import cmath
+import decimal
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -62,74 +62,35 @@ class ImexCoefficients:
     omega2_half: complex
 
 
+@functools.cache
 def coefficients() -> ImexCoefficients:
-    """The stage constants, written out to full precision."""
-    return ImexCoefficients(
-        c1=complex(-3.0, 1.7320508075688772935),
-        w1=complex(-6.0, -10.39230484541326376),
-        w11=complex(0.0, -3.4641016151377545871),
-        w21=complex(0.5, -0.8660254037844386467),
-        w31=complex(1.0, -0.57735026918962576452),
-        c1_half=complex(-6.0, 3.4641016151377545871),
-        w1_half=complex(-12.0, -20.784609690826527522),
-        omega1_half=complex(0.0, -3.4641016151377545870),
-        omega2_half=complex(1.0, -1.7320508075688772935),
-    )
+    """The stage constants, each the residue of its rational stage function.
 
-
-def derive_coefficients() -> ImexCoefficients:
-    """Recompute each constant as a residue of its rational stage function.
-
-    For a denominator q with conjugate roots, the residue of p/q at the
-    upper root c is p(c) / (c - conj(c)).
+    For a denominator q with conjugate roots, the residue of p/q at the upper
+    root c is p(c) / (c - conj(c)).  Both poles are c = a + b sqrt(3) i with
+    integer a, b and every numerator is linear, p(c) = p0 + p1 c, so the
+    residue is p1/2 - sqrt(3) (p0 + p1 a) / (6 b) i.  sqrt(3) is taken to 40
+    digits, so each constant is the double nearest its exact value.
     """
-    c1 = complex(-3.0, _SQRT3)
-    c1h = complex(-6.0, 2.0 * _SQRT3)
+    ctx = decimal.Context(prec=40)
 
-    def residue(p_at_pole: complex, pole: complex) -> complex:
-        return p_at_pole / (pole - pole.conjugate())
+    def sqrt3_times(num: int, den: int) -> float:
+        return float(ctx.divide(ctx.multiply(ctx.sqrt(3), num), den))
+
+    def residue(p0: int, p1: int, a: int, b: int) -> complex:
+        return complex(p1 / 2, -sqrt3_times(p0 + p1 * a, 6 * b))
 
     return ImexCoefficients(
-        c1=c1,
-        w1=residue(-12.0 * c1, c1),
-        w11=residue(12.0 + 0j, c1),
-        w21=residue(6.0 + c1, c1),
-        w31=residue(2.0 * (4.0 + c1), c1),
-        c1_half=c1h,
-        w1_half=residue(-24.0 * c1h, c1h),
-        omega1_half=residue(24.0 + 0j, c1h),
-        omega2_half=residue(2.0 * (12.0 + c1h), c1h),
+        c1=complex(-3.0, sqrt3_times(1, 1)),
+        w1=residue(0, -12, -3, 1),        # p = -12 c
+        w11=residue(12, 0, -3, 1),        # p = 12
+        w21=residue(6, 1, -3, 1),         # p = 6 + c
+        w31=residue(8, 2, -3, 1),         # p = 2 (4 + c)
+        c1_half=complex(-6.0, sqrt3_times(2, 1)),
+        w1_half=residue(0, -24, -6, 2),   # p = -24 c
+        omega1_half=residue(24, 0, -6, 2),  # p = 24
+        omega2_half=residue(24, 2, -6, 2),  # p = 2 (12 + c)
     )
-
-
-_PHI_SERIES_RADIUS = 0.25
-_PHI_SERIES_TERMS = 24
-
-
-def phi_scalar(mu: int, z: complex, method: str = "auto") -> complex:
-    """phi_0(z) = exp(-z); phi_mu(z) = (-z)^-mu (exp(-z) - sum_{j<mu} (-z)^j / j!).
-
-    Near z = 0 the direct formula cancels catastrophically, so small
-    arguments are evaluated by the Taylor series sum_m (-z)^m / (m + mu)!.
-    """
-    if mu not in (0, 1, 2, 3):
-        raise ValueError("mu must be one of 0, 1, 2, 3")
-    z = complex(z)
-    if mu == 0:
-        return cmath.exp(-z)
-    if method == "auto":
-        method = "series" if abs(z) < _PHI_SERIES_RADIUS else "direct"
-    if method == "series":
-        acc = 0.0 + 0.0j
-        term = 1.0 + 0.0j
-        for m in range(_PHI_SERIES_TERMS):
-            acc += term / math.factorial(m + mu)
-            term *= -z
-        return acc
-    if method == "direct":
-        partial = sum((-z) ** j / math.factorial(j) for j in range(mu))
-        return (cmath.exp(-z) - partial) / (-z) ** mu
-    raise ValueError(f"unknown method {method!r}")
 
 
 _POLE_GUARD = 1e-8

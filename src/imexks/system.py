@@ -24,7 +24,7 @@ Both Dirichlet flavors hold dense ``linear_matrix`` and ``d1_matrix``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -61,13 +61,16 @@ class SemiDiscreteKse:
 
     params: KseParameters
     grid: Grid
-    scheme: BoundaryScheme
     linear_matrix: Optional[np.ndarray] = None
     d1_matrix: Optional[np.ndarray] = None
     linear_symbol: Optional[np.ndarray] = None
     d1_symbol: Optional[np.ndarray] = None
     boundary_values: Optional[Callable] = None
-    homogeneous: bool = field(default=False)
+    homogeneous: bool = False
+
+    @property
+    def scheme(self) -> BoundaryScheme:
+        return self.grid.scheme
 
     @property
     def state_size(self) -> int:
@@ -143,9 +146,9 @@ def dense_operators(params: KseParameters, grid: Grid,
     else:
         d1 = compact_fd.build_first_derivative(grid)
         d2 = compact_fd.build_second_derivative(grid)
-    linear = params.alpha * d2.matrix + params.beta * (d2.matrix @ d2.matrix)
+    linear = params.alpha * d2 + params.beta * (d2 @ d2)
     linear.setflags(write=False)
-    return linear, d1.matrix
+    return linear, d1
 
 
 def assemble(
@@ -167,15 +170,13 @@ def assemble(
         s2 = compact_fd.second_derivative_symbol(grid)
         linear = params.alpha * s2 + params.beta * s2 * s2
         linear.setflags(write=False)
-        return SemiDiscreteKse(params=params, grid=grid, scheme=grid.scheme,
-                               linear_symbol=linear,
+        return SemiDiscreteKse(params=params, grid=grid, linear_symbol=linear,
                                d1_symbol=compact_fd.first_derivative_symbol(grid))
     homogeneous = boundary_values is None
     linear, d1 = dense_operators(params, grid, homogeneous)
     return SemiDiscreteKse(
         params=params,
         grid=grid,
-        scheme=grid.scheme,
         linear_matrix=linear,
         d1_matrix=d1,
         boundary_values=boundary_values,

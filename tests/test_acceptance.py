@@ -130,15 +130,26 @@ def test_criterion_5_table2_gre_comparison():
 
 def test_criterion_6_coefficient_identities():
     t0 = time.perf_counter()
-    stored = stepper.coefficients()
-    derived = stepper.derive_coefficients()
-    worst_coeff = max(abs(getattr(derived, name) - getattr(stored, name))
+    # closed forms of the stage constants, to full precision
+    pinned = stepper.ImexCoefficients(
+        c1=complex(-3.0, 1.7320508075688772935),
+        w1=complex(-6.0, -10.39230484541326376),
+        w11=complex(0.0, -3.4641016151377545871),
+        w21=complex(0.5, -0.8660254037844386467),
+        w31=complex(1.0, -0.57735026918962576452),
+        c1_half=complex(-6.0, 3.4641016151377545871),
+        w1_half=complex(-12.0, -20.784609690826527522),
+        omega1_half=complex(0.0, -3.4641016151377545870),
+        omega2_half=complex(1.0, -1.7320508075688772935),
+    )
+    derived = stepper.coefficients()
+    worst_coeff = max(abs(getattr(derived, name) - getattr(pinned, name))
                       for name in stepper.ImexCoefficients.__dataclass_fields__)
     rng = np.random.default_rng(2718)
     z = rng.uniform(0, 40, 200) + 1j * rng.uniform(-40, 40, 200)
     den = 12.0 + 6.0 * z + z * z
     den_h = 48.0 + 12.0 * z + z * z
-    co = stored
+    co = derived
 
     def pair(w, c):
         # conjugate-pole sum; reduces to 2 Re(w / (z - c)) on the real axis

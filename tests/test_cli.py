@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from imexks.cli import (
     parse_y_value,
     serialize_config,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SUBCOMMANDS = ("solve", "converge", "stability", "table")
 
 
 def test_parse_minimal_solve_config():
@@ -87,6 +91,59 @@ def test_stability_rejects_problem_keys():
         config_from_dict({"mode": "stability", "y": ["-2"], "problem": 1})
 
 
+# configs that reach the library before they are rejected would fail there
+# with a traceback instead of a config error: (config, expected message)
+INVALID_CONFIGS = [
+    ({"mode": "solve", "problem": 1, "h": 3.0, "k": 0.1, "T": 1.0}, "does not divide"),
+    # below the smallest grids the operators are built on
+    ({"mode": "solve", "problem": 2, "N": 2, "k": 0.25, "T": 1.0}, "at least 3"),
+    ({"mode": "solve", "problem": 4, "N": 5, "k": 0.01, "T": 0.1}, "at least 7"),
+    ({"mode": "converge-space-time", "problem": 1, "h": [50.0, 25.0], "k": [0.1, 0.05],
+      "T": 1.0}, "at least 7"),
+    ({"mode": "converge-time", "problem": 2, "N": 64, "k": [-0.25, -0.125], "T": 1.0},
+     "positive"),
+    ({"mode": "converge-space-time", "problem": 1, "h": [-4.0, -2.0], "k": [0.1, 0.05],
+      "T": 1.0}, "positive"),
+    ({"mode": "converge-time", "problem": 2, "N": 64, "k": [0.25, 0.125], "T": 0.0},
+     "positive"),
+    # resolution only applies to stability scans and would not round-trip
+    ({"mode": "solve", "problem": 1, "N": 201, "k": 0.01, "T": 2.0, "resolution": 64},
+     "does not accept 'resolution'"),
+    ({"mode": "solve", "problem": 4, "N": 41, "k": 0.01, "T": 0.1, "beta": 0.0}, "beta"),
+    # the GRE run integrates to T, which must be a step multiple
+    ({"mode": "gre-table", "problem": 1, "N": 26, "k": 0.5, "times": [1.0], "T": 1.25},
+     "integer multiple"),
+]
+
+
+@pytest.mark.parametrize("data,message", INVALID_CONFIGS)
+def test_invalid_config_rejected(data, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("data,_message", INVALID_CONFIGS)
+def test_main_reports_invalid_config_without_traceback(tmp_path, capsys, data, _message):
+    path = _write_config(tmp_path, data)
+    assert cli.main([cli._MODES[data["mode"]][0], "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_configs_parse_and_map_to_a_subcommand(tmp_path, path):
+    cfg = config_from_dict(json.loads(path.read_text()))
+    assert parse_config(serialize_config(cfg)) == cfg
+    # exactly one subcommand runs the mode; the others stop at the config check
+    subcommand = cli._MODES[cfg.mode][0]
+    assert subcommand in SUBCOMMANDS
+    for other in set(SUBCOMMANDS) - {subcommand}:
+        assert cli.main([other, "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
 @pytest.mark.parametrize("data", [
     {"mode": "solve", "problem": 1, "N": 201, "k": 0.01, "T": 2.0},
     {"mode": "solve", "problem": 4, "h": 0.05, "k": 0.005, "T": 1.0,
@@ -131,7 +188,7 @@ def test_apply_overrides_requires_key_value():
 def _strip_timings(obj):
     if isinstance(obj, dict):
         return {key: _strip_timings(val) for key, val in obj.items()
-                if not key.startswith("cpu_") and key != "cpu_seconds"}
+                if not key.startswith("wall_")}
     if isinstance(obj, list):
         return [_strip_timings(item) for item in obj]
     return obj
@@ -159,7 +216,7 @@ def test_solve_reports_go_through_json(tmp_path):
     # h = 4 grid: coarse spatial error dominates but stays small over T = 0.1
     assert row["max_norm"] < 1e-2
     assert row["gre"] < 1e-3
-    assert "cpu_loop_seconds" in row
+    assert "wall_loop_seconds" in row
 
 
 def test_reports_are_deterministic_modulo_timings(tmp_path):
@@ -183,7 +240,7 @@ def test_converge_time_run(tmp_path):
     assert report["rows"][0]["observed_order"] is None
     assert report["rows"][1]["observed_order"] is not None
     table = (tmp_path / "table.csv").read_text().splitlines()
-    assert table[0] == "n_points,h,k,T,e_k,order,cpu_loop_s"
+    assert table[0] == "n_points,h,k,T,e_k,order,wall_loop_s"
     assert len(table) == 3
 
 

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imexks import linalg
-from imexks.linalg import SingularMatrixError, lu_factor, lu_solve, mat_product
+from imexks.linalg import SingularMatrixError, lu_factor, lu_solve
 
 
 def test_identity_solve_returns_input():
@@ -115,26 +114,3 @@ def test_rhs_dimension_mismatch():
     with pytest.raises(ValueError):
         lu_solve(fact, np.ones(4))
 
-
-def test_mat_product_identity():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((6, 6))
-    assert np.array_equal(mat_product(a, np.eye(6)), a)
-
-
-def test_mat_product_composes_permutations():
-    p = np.eye(4)[[1, 2, 3, 0]]
-    q = np.eye(4)[[3, 2, 1, 0]]
-    assert np.array_equal(mat_product(p, q), p @ q)
-    assert np.array_equal(mat_product(p, q)[0], np.eye(4)[2])
-
-
-def test_mat_product_conformance_error():
-    with pytest.raises(ValueError):
-        mat_product(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_inverse_roundtrip():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((7, 7)) + 7 * np.eye(7)
-    assert np.abs(linalg.inverse(a) @ a - np.eye(7)).max() <= 1e-10
