@@ -339,7 +339,7 @@ def _run_solve(cfg: ExperimentConfig, spec: ProblemSpec, out: Path, report: dict
     x_full = sys_.grid.nodes()
     for t_snap in sorted(captured):
         name = f"field_t{t_snap:g}.csv"
-        np.savetxt(out / name, np.column_stack([x_full, sys_.full_state(captured[t_snap])]),
+        np.savetxt(out / name, np.column_stack([x_full, sys_.full_state(captured[t_snap], t_snap)]),
                    delimiter=",", fmt="%.17e", header="x,u", comments="")
         report["outputs"].append(name)
     row = {"n_points": n_points, "h": sys_.grid.h, "k": cfg.k, "T": cfg.t_final, **timings}

@@ -1,25 +1,23 @@
 """Fourth-order compact finite-difference operators on uniform 1-D grids.
 
-The derivative of order p at the nodes is obtained from an implicit banded
-relation ``L u^(p) = M u``.  Two representations are built here:
+The derivative of order p at the nodes is obtained from an implicit
+tridiagonal relation ``A u^(p) = B u``.  Two representations are built here:
 
-* periodic grids (N unknowns, x_{N+1} == x_1): L and M are circulant, so the
-  discrete Fourier transform diagonalizes ``D = L^-1 M``.  The ``*_symbol``
+* periodic grids (N unknowns, x_{N+1} == x_1): A and B are circulant, so the
+  discrete Fourier transform diagonalizes ``D = A^-1 B``.  The ``*_symbol``
   functions return its eigenvalues on the ``rfft`` frequencies, which is all
   the periodic solver uses (O(N) memory, O(N log N) to apply);
-* dense matrices ``D = L^-1 M`` from the ``build_*`` functions, returned as
-  read-only ndarrays.  Dirichlet grids close the ends with one-sided
-  relations at the first and last node, so the matrices act on all N nodes
-  including the endpoints.  The builders also accept periodic grids, where
-  the circulant matrices serve as the independent reference for the symbols.
+* dense matrices ``D = A^-1 B`` from the ``build_*`` functions, returned as
+  read-only ndarrays.  On a Dirichlet grid they act on the N-2 interior
+  nodes: the relation is written at every interior node and the terms that
+  reach a wall node are dropped from A and B.  On periodic grids the
+  circulant matrices serve as the independent reference for the symbols.
 
-For homogeneous Dirichlet problems there are also ``interior_*`` builders
-that drop the closure rows entirely and act on the N-2 interior nodes with
-pure tridiagonal Toeplitz relations.  Those assume the boundary values (and
-the boundary entries of the implicit left-hand sides) vanish; they are the
-stable choice when nothing has to be fed in from the walls, because the
-one-sided closures turn strongly non-normal once they are squared for the
-fourth derivative.
+The dropped wall terms are the ``*_walls`` matrices W: with the wall values
+u_0, u_{N-1} and the walls' derivatives of order p known, the relation at
+every interior node, the first and the last included, reads
+``u^(p) = D u + W (u_0, u_{N-1}, u^(p)_0, u^(p)_{N-1})``.  Zero wall data
+makes the term vanish.
 """
 
 from __future__ import annotations
@@ -105,8 +103,8 @@ def _materialize(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return linalg.lu_solve(linalg.lu_factor(lhs), rhs)
 
 
-# The one-sided D2 closure reaches five nodes in from each wall: the D2
-# builders, and with them every Dirichlet system, need this many nodes.
+# Smallest grid the D2 builders accept on either boundary kind; the CLI checks
+# Dirichlet grids against it before anything runs.
 MIN_OPERATOR_POINTS = 7
 
 
@@ -150,74 +148,44 @@ def second_derivative_symbol(grid: Grid) -> np.ndarray:
                    / _stencil_symbol(_D2_LHS, theta).real)
 
 
-def build_first_derivative(grid: Grid) -> np.ndarray:
-    """u' from u'_{i-1} + 4 u'_i + u'_{i+1} = (3/h)(u_{i+1} - u_{i-1}).
-
-    Dirichlet grids close the ends with the one-sided relation
-    4 u'_1 + 12 u'_2 = (3/h)(-34/9 u_1 + 2 u_2 + 2 u_3 - 2/9 u_4) and its
-    mirror image, both fourth order.
-    """
-    _check_size(grid, 6, "first-derivative operator")
-    n = grid.n_points
-    h = grid.h
+def _build(grid: Grid, lhs_stencil, rhs_stencil, scale: float) -> np.ndarray:
     if grid.scheme is BoundaryScheme.PERIODIC:
-        lhs = _circulant(n, *_D1_LHS)
-        rhs = _circulant(n, *_D1_RHS) * (3.0 / h)
+        n, band = grid.n_points, _circulant
     else:
-        lhs = _tridiag(n, *_D1_LHS)
-        rhs = _tridiag(n, *_D1_RHS)
-        lhs[0, :2] = (4.0, 12.0)
-        rhs[0, :4] = (-34.0 / 9.0, 2.0, 2.0, -2.0 / 9.0)
-        lhs[-1, -2:] = (12.0, 4.0)
-        rhs[-1, -4:] = (2.0 / 9.0, -2.0, -2.0, 34.0 / 9.0)
-        rhs *= 3.0 / h
-    return _freeze(_materialize(lhs, rhs))
+        n, band = grid.n_points - 2, _tridiag
+    return _freeze(_materialize(band(n, *lhs_stencil), band(n, *rhs_stencil) * scale))
+
+
+def _walls(grid: Grid, lhs_stencil, rhs_stencil, scale: float) -> np.ndarray:
+    if grid.scheme is not BoundaryScheme.DIRICHLET:
+        raise ValueError("wall couplings require a Dirichlet grid")
+    m = grid.n_points - 2
+    # the wall node's terms of the relation at the first and last interior node
+    wall_rhs = np.zeros((m, 4))
+    wall_rhs[0, [0, 2]] = (scale * rhs_stencil[0], -lhs_stencil[0])
+    wall_rhs[-1, [1, 3]] = (scale * rhs_stencil[2], -lhs_stencil[2])
+    return _freeze(_materialize(_tridiag(m, *lhs_stencil), wall_rhs))
+
+
+def build_first_derivative(grid: Grid) -> np.ndarray:
+    """u' from u'_{i-1} + 4 u'_i + u'_{i+1} = (3/h)(u_{i+1} - u_{i-1})."""
+    _check_size(grid, 6, "first-derivative operator")
+    return _build(grid, _D1_LHS, _D1_RHS, 3.0 / grid.h)
 
 
 def build_second_derivative(grid: Grid) -> np.ndarray:
-    """u'' from u''_{i-1} + 10 u''_i + u''_{i+1} = (12/h^2)(u_{i-1} - 2u_i + u_{i+1}).
-
-    The Dirichlet closure is
-    10 u''_1 + 100 u''_2 = (12/h^2)(725/72 u_1 - 190/9 u_2 + 145/12 u_3
-    - 10/9 u_4 + 5/72 u_5), mirrored on the right.
-    """
+    """u'' from u''_{i-1} + 10 u''_i + u''_{i+1} = (12/h^2)(u_{i-1} - 2u_i + u_{i+1})."""
     _check_size(grid, MIN_OPERATOR_POINTS, "second-derivative operator")
-    n = grid.n_points
-    h = grid.h
-    if grid.scheme is BoundaryScheme.PERIODIC:
-        lhs = _circulant(n, *_D2_LHS)
-        rhs = _circulant(n, *_D2_RHS) * (12.0 / h**2)
-    else:
-        lhs = _tridiag(n, *_D2_LHS)
-        rhs = _tridiag(n, *_D2_RHS)
-        lhs[0, :2] = (10.0, 100.0)
-        rhs[0, :5] = (725.0 / 72.0, -190.0 / 9.0, 145.0 / 12.0, -10.0 / 9.0, 5.0 / 72.0)
-        lhs[-1, -2:] = (100.0, 10.0)
-        rhs[-1, -5:] = (5.0 / 72.0, -10.0 / 9.0, 145.0 / 12.0, -190.0 / 9.0, 725.0 / 72.0)
-        rhs *= 12.0 / h**2
-    return _freeze(_materialize(lhs, rhs))
+    return _build(grid, _D2_LHS, _D2_RHS, 12.0 / grid.h**2)
 
 
-def _interior(grid: Grid, minimum: int, what: str, lhs_stencil, rhs_stencil,
-              scale: float) -> np.ndarray:
-    if grid.scheme is not BoundaryScheme.DIRICHLET:
-        raise ValueError("interior operators require a Dirichlet grid")
-    _check_size(grid, minimum, what)
-    m = grid.n_points - 2
-    return _freeze(_materialize(_tridiag(m, *lhs_stencil), _tridiag(m, *rhs_stencil) * scale))
+def first_derivative_walls(grid: Grid) -> np.ndarray:
+    """The (N-2) x 4 wall coupling of the Dirichlet D1 on (u_0, u_{N-1}, u'_0, u'_{N-1})."""
+    _check_size(grid, 6, "first-derivative operator")
+    return _walls(grid, _D1_LHS, _D1_RHS, 3.0 / grid.h)
 
 
-def build_interior_first_derivative(grid: Grid) -> np.ndarray:
-    """First derivative on the interior nodes of a Dirichlet grid.
-
-    Rows are the plain interior relation; boundary couplings are dropped,
-    which is exact when u and u' vanish at both walls.
-    """
-    return _interior(grid, 6, "interior first-derivative operator",
-                     _D1_LHS, _D1_RHS, 3.0 / grid.h)
-
-
-def build_interior_second_derivative(grid: Grid) -> np.ndarray:
-    """Second derivative on the interior nodes of a Dirichlet grid (zero walls)."""
-    return _interior(grid, MIN_OPERATOR_POINTS, "interior second-derivative operator",
-                     _D2_LHS, _D2_RHS, 12.0 / grid.h**2)
+def second_derivative_walls(grid: Grid) -> np.ndarray:
+    """The (N-2) x 4 wall coupling of the Dirichlet D2 on (u_0, u_{N-1}, u''_0, u''_{N-1})."""
+    _check_size(grid, MIN_OPERATOR_POINTS, "second-derivative operator")
+    return _walls(grid, _D2_LHS, _D2_RHS, 12.0 / grid.h**2)

@@ -1,8 +1,9 @@
 """The four benchmark problems: domains, parameters, initial and boundary data.
 
 Problem 1 is the traveling-wave accuracy benchmark with a closed-form
-solution; 2 is the classical chaotic periodic run on [0, 32 pi]; 3 and 4 are
-homogeneous Dirichlet problems (Gaussian pulse, decaying sine).
+solution, whose wall data the Dirichlet system takes from the closed form; 2 is
+the classical chaotic periodic run on [0, 32 pi]; 3 and 4 are Dirichlet
+problems with zero wall data (Gaussian pulse, decaying sine).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .compact_fd import BoundaryScheme, Grid
 from .system import KseParameters, SemiDiscreteKse, assemble
@@ -34,6 +36,32 @@ def example1_exact(x, t, mu: float = EXAMPLE1_MU, nu: float = EXAMPLE1_NU,
     """
     s = np.tanh(nu * (np.asarray(x, dtype=float) - mu * t - x0))
     return mu + (15.0 * s**3 - 45.0 * s) / 19.0**1.5
+
+
+def _example1_derivative_coefficients() -> np.ndarray:
+    """Rows: u, u_x, u_xx and u_xxxx as polynomials in S, powers 0 to 7.
+
+    u = p(S) with S = tanh(nu (x - mu t - x0)) and dS/dx = nu (1 - S^2), so
+    every x-derivative is again a polynomial, d/dx p(S) = nu (1 - S^2) p'(S).
+    """
+    rows = [np.array([EXAMPLE1_MU, -45.0 / 19.0**1.5, 0.0, 15.0 / 19.0**1.5])]
+    for _ in range(4):
+        rows.append(EXAMPLE1_NU * P.polymul((1.0, 0.0, -1.0), P.polyder(rows[-1])))
+    return np.array([np.pad(rows[order], (0, 8 - len(rows[order]))) for order in (0, 1, 2, 4)])
+
+
+_EXAMPLE1_DERIVATIVES = _example1_derivative_coefficients()
+_POWERS = np.arange(8)[:, None]
+
+
+def example1_wall_data(x, t) -> np.ndarray:
+    """u, u_x, u_xx and u_xxxx of :func:`example1_exact` at the points ``x``.
+
+    Rows are the four quantities, columns the points; the Dirichlet system
+    evaluates it at both walls for every F.
+    """
+    s = np.tanh(EXAMPLE1_NU * (np.asarray(x, dtype=float) - (EXAMPLE1_MU * t + EXAMPLE1_X0)))
+    return _EXAMPLE1_DERIVATIVES @ s**_POWERS
 
 
 @dataclass(frozen=True)
@@ -87,7 +115,7 @@ def make_problem(problem_id: int, beta: Optional[float] = None) -> ProblemSpec:
             scheme=BoundaryScheme.DIRICHLET,
             initial_condition=lambda x: example1_exact(x, 0.0),
             exact_solution=example1_exact,
-            boundary_values=example1_exact,
+            boundary_values=example1_wall_data,
             extra={"mu": EXAMPLE1_MU, "nu": EXAMPLE1_NU, "x0": EXAMPLE1_X0},
         )
     if problem_id == 2:

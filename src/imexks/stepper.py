@@ -199,8 +199,8 @@ def step(ws: StepperWorkspace, u_n: np.ndarray, t_n: float) -> np.ndarray:
     """Advance one step of size k from (t_n, u_n).
 
     Four complex solves against the stored factorizations; stage vectors stay
-    real via 2 Re(.) of each solve.  Dirichlet stages are re-injected with
-    boundary data at t_n + k/2, t_n + k/2, t_n + k and t_n + k.
+    real via 2 Re(.) of each solve.  F is evaluated at t_n, t_n + k/2,
+    t_n + k/2 and t_n + k, which is where Dirichlet wall data enters.
     """
     sys = ws.sys
     co = ws.coeffs
@@ -211,26 +211,26 @@ def step(ws: StepperWorkspace, u_n: np.ndarray, t_n: float) -> np.ndarray:
         f_n = sys.nonlinear_rhs(u_n, t_n)
 
         r_a = ws.solve_half(co.w1_half * u_n + k * co.omega1_half * f_n)
-        a_n = sys.constrain_stage(u_n + 2.0 * r_a.real, t_n + k / 2)
+        a_n = u_n + 2.0 * r_a.real
         _check_finite(a_n, "a")
         f_a = sys.nonlinear_rhs(a_n, t_n + k / 2)
 
         r_b = ws.solve_half(co.w1_half * u_n + k * (co.omega1_half - co.omega2_half) * f_n
                             + k * co.omega2_half * f_a)
-        b_n = sys.constrain_stage(u_n + 2.0 * r_b.real, t_n + k / 2)
+        b_n = u_n + 2.0 * r_b.real
         _check_finite(b_n, "b")
         f_b = sys.nonlinear_rhs(b_n, t_n + k / 2)
 
         r_c = ws.solve_full(co.w1 * u_n + k * (co.w11 - 2.0 * co.w21) * f_n
                             + 2.0 * k * co.w21 * f_b)
-        c_n = sys.constrain_stage(u_n + 2.0 * r_c.real, t_n + k)
+        c_n = u_n + 2.0 * r_c.real
         _check_finite(c_n, "c")
         f_c = sys.nonlinear_rhs(c_n, t_n + k)
 
         r_u = ws.solve_full(co.w1 * u_n + k * (co.w11 - 3.0 * co.w21 + co.w31) * f_n
                             + k * (2.0 * co.w21 - co.w31) * (f_a + f_b)
                             - k * (co.w21 - co.w31) * f_c)
-        u_next = sys.constrain_stage(u_n + 2.0 * r_u.real, t_n + k)
+        u_next = u_n + 2.0 * r_u.real
     _check_finite(u_next, "u")
     return u_next
 
@@ -243,13 +243,14 @@ def step_dense_reference(sys: SemiDiscreteKse, u_n: np.ndarray, t_n: float, k: f
 
     Builds its own dense L and D1 with the compact_fd builders, forms
     (12 I + 6 kL + (kL)^2) and (48 I + 12 kL + (kL)^2) and solves with them
-    densely, evaluating F with the dense D1; no partial fractions and no
-    Fourier symbols involved.  Oracle for :func:`step`.
+    densely, evaluating F with the dense D1 plus the system's wall term; no
+    partial fractions and no Fourier symbols involved.  Oracle for
+    :func:`step`.
     """
     n = sys.state_size
     if n > _DENSE_REFERENCE_LIMIT:
         raise ValueError(f"dense reference limited to {_DENSE_REFERENCE_LIMIT} unknowns")
-    linear, d1 = dense_operators(sys.params, sys.grid, sys.homogeneous)
+    linear, d1 = dense_operators(sys.params, sys.grid)
     u_n = np.asarray(u_n, dtype=float)
     z = k * linear
     z2 = z @ z
@@ -263,30 +264,27 @@ def step_dense_reference(sys: SemiDiscreteKse, u_n: np.ndarray, t_n: float, k: f
     def apply_half(num: np.ndarray, vec: np.ndarray) -> np.ndarray:
         return linalg.lu_solve(den_h, num @ vec)
 
-    def rhs(u: np.ndarray) -> np.ndarray:
-        return -0.5 * (d1 @ (u * u))
+    def rhs(u: np.ndarray, t: float) -> np.ndarray:
+        f = -0.5 * (d1 @ (u * u))
+        return f if sys.boundary_values is None else f + sys.wall_term(t)
 
-    f_n = rhs(u_n)
+    f_n = rhs(u_n, t_n)
     a_n = apply_half(48.0 * eye - 12.0 * z + z2, u_n) + 24.0 * k * linalg.lu_solve(den_h, f_n)
-    a_n = sys.constrain_stage(a_n, t_n + k / 2)
-    f_a = rhs(a_n)
+    f_a = rhs(a_n, t_n + k / 2)
 
     b_n = (apply_half(48.0 * eye - 12.0 * z + z2, u_n)
            + 24.0 * k * linalg.lu_solve(den_h, f_n)
            + 2.0 * k * apply_half(12.0 * eye + z, f_a - f_n))
-    b_n = sys.constrain_stage(b_n, t_n + k / 2)
-    f_b = rhs(b_n)
+    f_b = rhs(b_n, t_n + k / 2)
 
     r22u = apply_full(12.0 * eye - 6.0 * z + z2, u_n)
     p1f = 12.0 * k * linalg.lu_solve(den, f_n)
     c_n = r22u + p1f + 2.0 * k * apply_full(6.0 * eye + z, f_b - f_n)
-    c_n = sys.constrain_stage(c_n, t_n + k)
-    f_c = rhs(c_n)
+    f_c = rhs(c_n, t_n + k)
 
-    u_next = (r22u + p1f
-              + k * apply_full(6.0 * eye + z, -3.0 * f_n + 2.0 * f_a + 2.0 * f_b - f_c)
-              + 2.0 * k * apply_full(4.0 * eye + z, f_n - f_a - f_b + f_c))
-    return sys.constrain_stage(u_next, t_n + k)
+    return (r22u + p1f
+            + k * apply_full(6.0 * eye + z, -3.0 * f_n + 2.0 * f_a + 2.0 * f_b - f_c)
+            + 2.0 * k * apply_full(4.0 * eye + z, f_n - f_a - f_b + f_c))
 
 
 def integrate(

@@ -6,11 +6,11 @@ from imexks.compact_fd import (
     BoundaryScheme,
     Grid,
     build_first_derivative,
-    build_interior_first_derivative,
-    build_interior_second_derivative,
     build_second_derivative,
     first_derivative_symbol,
+    first_derivative_walls,
     second_derivative_symbol,
+    second_derivative_walls,
 )
 
 
@@ -26,6 +26,18 @@ def d2_squared(grid):
     """The fourth derivative as the system assembles it: D2 applied twice."""
     d2 = build_second_derivative(grid)
     return d2 @ d2
+
+
+def lifted_d1(grid, u, u_x):
+    """D1 on a Dirichlet grid with the walls' u and u' fed in: u' at the interior."""
+    return build_first_derivative(grid) @ u[1:-1] + first_derivative_walls(grid) @ (
+        u[0], u[-1], u_x[0], u_x[-1])
+
+
+def lifted_d2(grid, u, u_xx):
+    """D2 on a Dirichlet grid with the walls' u and u'' fed in."""
+    return build_second_derivative(grid) @ u[1:-1] + second_derivative_walls(grid) @ (
+        u[0], u[-1], u_xx[0], u_xx[-1])
 
 
 # ---------------------------------------------------------------- grids
@@ -57,21 +69,24 @@ def test_minimum_sizes_enforced():
 # ------------------------------------------------- constant annihilation
 
 
-@pytest.mark.parametrize("scheme", [BoundaryScheme.PERIODIC, BoundaryScheme.DIRICHLET])
 @pytest.mark.parametrize("builder", [build_first_derivative, build_second_derivative,
                                      d2_squared])
-def test_constants_are_annihilated(scheme, builder):
-    grid = Grid(0.0, 1.0, 24, scheme)
+def test_constants_are_annihilated(builder):
+    grid = periodic_grid(24, 0.0, 1.0)
     op = builder(grid)
     scale = np.abs(op).max()
     assert np.abs(op @ np.ones(24)).max() <= 1e-11 * scale
 
 
-def test_dirichlet_closure_row_sums_are_zero():
-    # first derivative: -34/9 + 2 + 2 - 2/9; second: 725/72 - 190/9 + 145/12 - 10/9 + 5/72
-    assert -34.0 / 9.0 + 2.0 + 2.0 - 2.0 / 9.0 == pytest.approx(0.0, abs=1e-15)
-    assert 725.0 / 72.0 - 190.0 / 9.0 + 145.0 / 12.0 - 10.0 / 9.0 + 5.0 / 72.0 == (
-        pytest.approx(0.0, abs=1e-13))
+def test_dirichlet_constants_are_annihilated_with_wall_values():
+    grid = dirichlet_grid(24)
+    ones, zeros = np.ones(24), np.zeros(24)
+    d1 = lifted_d1(grid, ones, zeros)
+    d2 = lifted_d2(grid, ones, zeros)
+    d4 = lifted_d2(grid, np.r_[0.0, d2, 0.0], zeros)
+    for out, op in ((d1, build_first_derivative), (d2, build_second_derivative),
+                    (d4, d2_squared)):
+        assert np.abs(out).max() <= 1e-11 * np.abs(op(grid)).max()
 
 
 def test_periodic_column_sums_vanish():
@@ -83,21 +98,22 @@ def test_periodic_column_sums_vanish():
 
 def test_dirichlet_linear_exactness_first_derivative():
     grid = dirichlet_grid(11)
-    d1 = build_first_derivative(grid)
-    assert np.abs(d1 @ grid.nodes() - 1.0).max() <= 1e-12
+    x = grid.nodes()
+    assert np.abs(lifted_d1(grid, x, np.ones(11)) - 1.0).max() <= 1e-12
 
 
 def test_dirichlet_quadratic_exactness_second_derivative():
     grid = dirichlet_grid(13)
-    d2 = build_second_derivative(grid)
-    assert np.abs(d2 @ grid.nodes() ** 2 - 2.0).max() <= 1e-10
+    x = grid.nodes()
+    assert np.abs(lifted_d2(grid, x**2, np.full(13, 2.0)) - 2.0).max() <= 1e-10
 
 
 def test_fourth_derivative_annihilates_linears():
     grid = dirichlet_grid(13)
-    d4 = d2_squared(grid)
-    scale = np.abs(d4).max()
-    assert np.abs(d4 @ grid.nodes()).max() <= 1e-11 * scale
+    x, zeros = grid.nodes(), np.zeros(13)
+    d2 = lifted_d2(grid, x, zeros)
+    d4 = lifted_d2(grid, np.r_[0.0, d2, 0.0], zeros)
+    assert np.abs(d4).max() <= 1e-11 * np.abs(d2_squared(grid)).max()
 
 
 # ----------------------------------------------------- circulant structure
@@ -207,18 +223,30 @@ def test_product_of_materialized_factors_matches_solves():
     assert np.abs(product - via_solves).max() <= 1e-10 * np.abs(product).max()
 
 
-# -------------------------------------------------------- interior variants
+# -------------------------------------------------------- Dirichlet operators
 
 
-def test_interior_operators_require_dirichlet():
+def test_wall_couplings_require_dirichlet():
     with pytest.raises(ValueError):
-        build_interior_first_derivative(periodic_grid(16))
+        first_derivative_walls(periodic_grid(16))
+    with pytest.raises(ValueError):
+        second_derivative_walls(periodic_grid(16))
+
+
+def test_dirichlet_operators_are_interior_tridiagonal_relations():
+    grid = dirichlet_grid(12)
+    m, h = 10, grid.h
+    lhs = 10.0 * np.eye(m) + np.eye(m, k=1) + np.eye(m, k=-1)
+    rhs = (12.0 / h**2) * (-2.0 * np.eye(m) + np.eye(m, k=1) + np.eye(m, k=-1))
+    d2 = build_second_derivative(grid)
+    assert d2.shape == (m, m) and second_derivative_walls(grid).shape == (m, 4)
+    assert np.abs(lhs @ d2 - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
 def test_interior_operator_shapes_and_accuracy():
     grid = dirichlet_grid(41, -1.0, 1.0)
-    d1 = build_interior_first_derivative(grid)
-    d2 = build_interior_second_derivative(grid)
+    d1 = build_first_derivative(grid)
+    d2 = build_second_derivative(grid)
     assert d1.shape == (39, 39)
     x = grid.interior_nodes()
     # the truncated relations assume u, u' = 0 (D1) and u, u'' = 0 (D2) at the
@@ -234,7 +262,7 @@ def test_interior_second_derivative_convergence():
     for n in (33, 65):
         grid = dirichlet_grid(n, -1.0, 1.0)
         x = grid.interior_nodes()
-        d2 = build_interior_second_derivative(grid)
+        d2 = build_second_derivative(grid)
         errs.append(np.abs(d2 @ np.sin(np.pi * x) + np.pi**2 * np.sin(np.pi * x)).max())
     assert 3.7 <= np.log2(errs[0] / errs[1]) <= 4.3
 

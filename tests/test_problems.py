@@ -9,6 +9,7 @@ from imexks.problems import (
     SWEEP_BETAS_PROBLEM4,
     TABLE_BETA_PROBLEM4,
     example1_exact,
+    example1_wall_data,
     make_problem,
 )
 
@@ -61,8 +62,25 @@ def test_problem1_spec():
     assert spec.params.alpha == -1.0 and spec.params.beta == 1.0
     assert spec.scheme is BoundaryScheme.DIRICHLET
     assert spec.exact_solution is not None
-    assert spec.boundary_values is not None
-    assert spec.boundary_values(-50.0, 0.5) == pytest.approx(example1_exact(-50.0, 0.5))
+    assert spec.boundary_values is example1_wall_data
+    walls = np.array([-50.0, 50.0])
+    assert spec.boundary_values(walls, 0.5)[0] == pytest.approx(example1_exact(walls, 0.5),
+                                                                rel=1e-15)
+
+
+def test_wall_data_derivatives():
+    # u_x and u_xx against central differences; u_xxxx through the PDE, which
+    # for the traveling wave (u_t = -mu u_x) reads
+    # -mu u_x + u u_x - u_xx + u_xxxx = 0
+    rng = np.random.default_rng(7)
+    x, t, d = rng.uniform(-60.0, 60.0, 50), rng.uniform(0.0, 12.0, 50), 1e-3
+    u, u_x, u_xx, u_xxxx = example1_wall_data(x, t)
+    assert np.abs(u - example1_exact(x, t)).max() <= 1e-14
+    s = [example1_exact(x + j * d, t) for j in (-2, -1, 1, 2)]
+    assert np.abs(u_x - (s[0] - 8 * s[1] + 8 * s[2] - s[3]) / (12 * d)).max() <= 1e-11
+    assert np.abs(u_xx - (s[1] - 2 * u + s[2]) / d**2).max() <= 1e-7
+    assert np.abs(-EXAMPLE1_MU * u_x + u * u_x - u_xx + u_xxxx).max() <= 1e-13
+    assert np.abs(u_xxxx).max() > 1e-4
 
 
 def test_problem2_spec():
@@ -80,7 +98,7 @@ def test_problem3_spec():
     assert spec.initial_condition(0.0) == pytest.approx(1.0)
     # exp(-900) underflows to an exact 0.0
     assert spec.initial_condition(np.array([-30.0, 30.0])).tolist() == [0.0, 0.0]
-    assert spec.boundary_values is None  # homogeneous -> reduced treatment
+    assert spec.boundary_values is None  # zero wall data: no wall term
 
 
 def test_problem4_spec_and_grid():
@@ -110,19 +128,21 @@ def test_unknown_problem_id():
 
 
 def test_build_system_scheme_selection():
-    assert not make_problem(2).build_system(32).homogeneous
-    assert not make_problem(1).build_system(26).homogeneous
-    assert make_problem(3).build_system(31).homogeneous
-    assert make_problem(4).build_system(41).homogeneous
+    assert make_problem(2).build_system(32).state_size == 32
+    for problem_id, n in ((1, 26), (3, 31), (4, 41)):
+        sys_ = make_problem(problem_id).build_system(n)
+        assert sys_.state_size == n - 2
+        assert (sys_.wall_matrix is None) == (problem_id != 1)
 
 
 def test_initial_state_respects_boundaries():
     spec = make_problem(4)
     sys_ = spec.build_system(41)
     u0 = spec.initial_state(sys_)
-    full = sys_.full_state(u0)
+    full = sys_.full_state(u0, 0.0)
     assert full[0] == 0.0 and full[-1] == 0.0
     spec1 = make_problem(1)
     sys1 = spec1.build_system(26)
-    u0 = spec1.initial_state(sys1)
-    assert u0[0] == pytest.approx(example1_exact(-50.0, 0.0))
+    full = sys1.full_state(spec1.initial_state(sys1), 0.0)
+    assert full[0] == pytest.approx(example1_exact(-50.0, 0.0), rel=1e-15)
+    assert full[1] == example1_exact(-46.0, 0.0)

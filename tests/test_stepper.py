@@ -36,9 +36,6 @@ class ScalarSystem:
     def nonlinear_rhs(self, u, t):
         return self.r_coeff * u
 
-    def constrain_stage(self, u, t):
-        return u
-
 
 def r22(z):
     return (12.0 - 6.0 * z + z * z) / (12.0 + 6.0 * z + z * z)
@@ -260,13 +257,14 @@ def test_step_matches_dense_reference_dirichlet():
     assert np.abs(u_pf - u_dense).max() <= 1e-9 * max(np.abs(u_pf).max(), 1e-30)
 
 
-def test_step_matches_dense_reference_injected():
+@pytest.mark.parametrize("n,k,t_n", [(26, 0.025, 0.0), (201, 0.01, 3.0)])
+def test_step_matches_dense_reference_with_wall_data(n, k, t_n):
     spec = problems.make_problem(1)
-    sys_ = spec.build_system(26)
-    u0 = spec.initial_state(sys_)
-    ws = prepare(sys_, 0.025)
-    u_pf = step(ws, u0, 0.0)
-    u_dense = step_dense_reference(sys_, u0, 0.0, 0.025)
+    sys_ = spec.build_system(n)
+    u0 = spec.exact_solution(sys_.active_nodes(), t_n)
+    ws = prepare(sys_, k)
+    u_pf = step(ws, u0, t_n)
+    u_dense = step_dense_reference(sys_, u0, t_n, k)
     assert np.abs(u_pf - u_dense).max() <= 1e-9 * np.abs(u_pf).max()
 
 
@@ -354,10 +352,33 @@ def test_spatial_self_convergence_is_fourth_order(problem_id, beta, k, t_final, 
     finals = []
     for n in sizes:
         sys_ = spec.build_system(n)
-        finals.append(sys_.full_state(integrate(sys_, spec.initial_state(sys_), k, t_final)))
+        u = integrate(sys_, spec.initial_state(sys_), k, t_final)
+        finals.append(sys_.full_state(u, t_final))
     diffs = [np.abs(coarse - fine[::2]).max() for coarse, fine in zip(finals, finals[1:])]
     orders = np.log2(np.array(diffs[:-1]) / np.array(diffs[1:]))
     assert np.all((orders >= 3.5) & (orders <= 4.6)), orders
+
+
+def _problem1_error(n_points, k, t_final):
+    spec = problems.make_problem(1)
+    sys_ = spec.build_system(n_points)
+    u = integrate(sys_, spec.initial_state(sys_), k, t_final)
+    assert np.all(np.isfinite(u))
+    return np.abs(u - spec.exact_solution(sys_.active_nodes(), t_final)).max()
+
+
+@pytest.mark.parametrize("n_points,k,t_final", [(401, 0.01, 2.0), (801, 0.001, 0.5)])
+def test_problem1_converges_on_fine_grids(n_points, k, t_final):
+    # h = 0.25 and h = 0.125, below the table-1 grids: a wall treatment that
+    # is unstable under refinement blows up here within a few steps
+    assert _problem1_error(n_points, k, t_final) <= 1e-6
+
+
+def test_problem1_space_time_order_below_the_table_grids():
+    # the table-1 ladder (k = h/160) continued from h = 0.5 to h = 0.25
+    coarse = _problem1_error(201, 0.5 / 160, 2.0)
+    fine = _problem1_error(401, 0.25 / 160, 2.0)
+    assert 3.6 <= math.log2(coarse / fine) <= 4.4
 
 
 def test_problem2_runs_at_two_to_the_sixteen():

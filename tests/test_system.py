@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imexks.compact_fd import BoundaryScheme, Grid, build_first_derivative, build_second_derivative
-from imexks.problems import example1_exact
+from imexks.problems import example1_exact, example1_wall_data
 from imexks.system import KseParameters, assemble, dense_operators
 
 
@@ -13,9 +14,9 @@ def periodic_system(alpha=1.0, beta=1.0, n=64, length=32 * np.pi):
     return assemble(KseParameters(alpha, beta), grid)
 
 
-def injected_system(n=26):
+def wave_system(n=26):
     grid = Grid(-50.0, 50.0, n, BoundaryScheme.DIRICHLET)
-    return assemble(KseParameters(-1.0, 1.0), grid, boundary_values=example1_exact)
+    return assemble(KseParameters(-1.0, 1.0), grid, boundary_values=example1_wall_data)
 
 
 def reduced_system(n=41, alpha=1.0, beta=1.1):
@@ -29,7 +30,7 @@ def apply_symbol(symbol, u):
 
 
 def dense_linear(sys_):
-    return dense_operators(sys_.params, sys_.grid, sys_.homogeneous)[0]
+    return dense_operators(sys_.params, sys_.grid)[0]
 
 
 def test_parameters_must_be_nonzero():
@@ -80,10 +81,30 @@ def test_periodic_operators_are_fourier_symbols(n):
 
 def test_dirichlet_assembly_is_alpha_d2_plus_beta_d4():
     grid = Grid(-1.0, 1.0, 21, BoundaryScheme.DIRICHLET)
-    sys_ = assemble(KseParameters(2.0, 0.5), grid, boundary_values=lambda x, t: 0.0)
+    sys_ = assemble(KseParameters(2.0, 0.5), grid, boundary_values=lambda x, t: np.zeros((4, 2)))
     d2 = build_second_derivative(grid)
     expected = 2.0 * d2 + 0.5 * (d2 @ d2)
     assert np.array_equal(sys_.linear_matrix, expected)
+
+
+def test_zero_wall_data_keeps_the_interior_tridiagonal_operators():
+    # bit for bit the dense interior build: the operators of problems 3 and 4
+    # do not depend on any wall treatment
+    grid = Grid(-1.0, 1.0, 21, BoundaryScheme.DIRICHLET)
+    m, h = 19, grid.h
+
+    def interior(lhs, rhs, scale):
+        band = [np.diag(np.full(m - abs(d), float(c)), d) for d, c in zip((-1, 0, 1), lhs)]
+        rhs_band = [np.diag(np.full(m - abs(d), float(c)), d) for d, c in zip((-1, 0, 1), rhs)]
+        factors = scipy.linalg.lu_factor(sum(band))
+        return scipy.linalg.lu_solve(factors, sum(rhs_band) * scale)
+
+    d1 = interior((1, 4, 1), (-1, 0, 1), 3.0 / h)
+    d2 = interior((1, 10, 1), (1, -2, 1), 12.0 / h**2)
+    sys_ = assemble(KseParameters(2.0, 0.5), grid)
+    assert sys_.boundary_values is None and sys_.wall_matrix is None
+    assert np.array_equal(sys_.d1_matrix, d1)
+    assert np.array_equal(sys_.linear_matrix, 2.0 * d2 + 0.5 * (d2 @ d2))
 
 
 def test_parameter_linearity():
@@ -154,50 +175,92 @@ def test_vector_field_conserves_mean():
 # -------------------------------------------------------- boundary handling
 
 
-def test_apply_boundary_sets_exact_band_values():
-    sys_ = injected_system()
-    x = sys_.grid.nodes()
-    u = np.zeros(sys_.state_size)
-    out = sys_.apply_boundary(u, 1.5)
-    for i in (0, 1, -2, -1):
-        assert out[i] == pytest.approx(example1_exact(x[i], 1.5), rel=1e-15)
-    assert np.all(out[2:-2] == 0.0)
+def test_dirichlet_system_is_reduced():
+    for sys_ in (reduced_system(n=41), wave_system(n=41)):
+        assert sys_.state_size == 39
+        assert np.array_equal(sys_.active_nodes(), sys_.grid.nodes()[1:-1])
+        assert sys_.linear_matrix.shape == sys_.d1_matrix.shape == (39, 39)
+        full = sys_.full_state(np.ones(39), 0.5)
+        assert full.shape == (41,) and np.all(full[1:-1] == 1.0)
 
 
-def test_apply_boundary_is_idempotent():
-    sys_ = injected_system()
-    rng = np.random.default_rng(2)
-    u = rng.standard_normal(sys_.state_size)
-    once = sys_.apply_boundary(u, 0.3)
-    assert np.array_equal(sys_.apply_boundary(once, 0.3), once)
-
-
-def test_apply_boundary_rejected_for_periodic():
-    sys_ = periodic_system()
-    with pytest.raises(ValueError):
-        sys_.apply_boundary(np.zeros(sys_.state_size), 0.0)
-
-
-def test_homogeneous_system_is_reduced():
-    sys_ = reduced_system(n=41)
-    assert sys_.homogeneous
-    assert sys_.state_size == 39
-    assert len(sys_.active_nodes()) == 39
-    full = sys_.full_state(np.ones(39))
-    assert full.shape == (41,)
-    assert full[0] == 0.0 and full[-1] == 0.0
-
-
-def test_homogeneous_initial_state_vanishes_at_walls():
+def test_zero_wall_data_full_state_vanishes_at_walls():
     sys_ = reduced_system(n=41)
     u0 = sys_.initial_state(lambda x: -np.sin(np.pi * x))
-    full = sys_.full_state(u0)
+    full = sys_.full_state(u0, 0.0)
     assert full[0] == 0.0 and full[-1] == 0.0
 
 
-def test_injected_initial_state_carries_boundary_data():
-    sys_ = injected_system()
+def test_full_state_fills_the_walls_from_the_data():
+    sys_ = wave_system()
     u0 = sys_.initial_state(lambda x: example1_exact(x, 0.0))
     x = sys_.grid.nodes()
-    assert u0[0] == pytest.approx(example1_exact(x[0], 0.0), rel=1e-15)
-    assert u0[-1] == pytest.approx(example1_exact(x[-1], 0.0), rel=1e-15)
+    for t in (0.0, 1.5):
+        full = sys_.full_state(u0, t)
+        assert full[0] == pytest.approx(example1_exact(x[0], t), rel=1e-15)
+        assert full[-1] == pytest.approx(example1_exact(x[-1], t), rel=1e-15)
+        assert np.array_equal(full[1:-1], u0)
+
+
+def _smooth_case(n):
+    """u = 2 + sin(x) + cos(x / 2) on [-3, 4]: nonzero at both walls, with its
+    exact wall data, and the KS terms alpha u_xx + beta u_xxxx and -u u_x."""
+    alpha, beta = -1.3, 0.7
+
+    def derivatives(x):
+        x = np.asarray(x, dtype=float)
+        return np.array([2.0 + np.sin(x) + np.cos(x / 2), np.cos(x) - np.sin(x / 2) / 2,
+                         -np.sin(x) - np.cos(x / 2) / 4, np.sin(x) + np.cos(x / 2) / 16])
+
+    def wall_data(x, t):
+        return derivatives(x)
+
+    grid = Grid(-3.0, 4.0, n, BoundaryScheme.DIRICHLET)
+    u, u_x, u_xx, u_xxxx = derivatives(grid.interior_nodes())
+    return grid, wall_data, u, alpha * u_xx + beta * u_xxxx, -u * u_x, (alpha, beta)
+
+
+def _lifted_errors(n):
+    """|lifted L u - (alpha u_xx + beta u_xxxx)| and |lifted F(u) + u u_x| per node."""
+    grid, wall_data, u, linear_exact, transport_exact, (alpha, beta) = _smooth_case(n)
+    # -L u + F(u) is affine in (alpha, beta) with the transport part fixed:
+    # two parameter sets separate the lifted L u from the lifted F(u)
+    rates = []
+    for scale in (1.0, 2.0):
+        sys_ = assemble(KseParameters(scale * alpha, scale * beta), grid, wall_data)
+        rates.append(sys_.nonlinear_rhs(u, 0.0) - sys_.linear_matrix @ u)
+    return (grid.interior_nodes(), np.abs(rates[0] - rates[1] - linear_exact),
+            np.abs(2.0 * rates[0] - rates[1] - transport_exact))
+
+
+def test_lifted_transport_is_fourth_order_at_every_interior_node():
+    _, _, coarse = _lifted_errors(81)
+    _, _, fine = _lifted_errors(161)
+    # the node next to each wall, then every node
+    for pick in (0, -1, slice(None)):
+        assert np.log2(np.max(coarse[pick]) / np.max(fine[pick])) >= 3.5, pick
+
+
+def test_lifted_linear_operator_orders():
+    # D2 applied to D2 u: the error of D2 u carries an O(h^4) layer that
+    # shrinks tenfold per node from each wall (the root -5 + sqrt(24) of the
+    # implicit stencil), and the outer D2 turns it into O(h^2) at the nodes
+    # next to the walls.  Zero wall data has the same layer wherever u^(6)
+    # does not vanish at the wall.  A node a fixed distance inside is fourth
+    # order.
+    x_coarse, coarse, _ = _lifted_errors(81)
+    x_fine, fine, _ = _lifted_errors(161)
+    inside = [(x >= -2.0) & (x <= 3.0) for x in (x_coarse, x_fine)]
+    assert np.log2(coarse[inside[0]].max() / fine[inside[1]].max()) >= 3.5
+    for wall_node in (0, -1):
+        assert 1.8 <= np.log2(coarse[wall_node] / fine[wall_node]) <= 2.4
+    assert fine.max() < 1e-5
+
+
+def test_wall_term_is_affine_in_the_wall_data():
+    grid, wall_data, u, *_ = _smooth_case(21)
+    sys_ = assemble(KseParameters(1.0, 1.0), grid, wall_data)
+    plain = assemble(KseParameters(1.0, 1.0), grid)
+    assert sys_.wall_matrix.shape == (19, 12)
+    assert np.array_equal(sys_.nonlinear_rhs(u, 0.0),
+                          plain.nonlinear_rhs(u, 0.0) + sys_.wall_term(0.0))
