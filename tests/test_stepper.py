@@ -257,7 +257,18 @@ def test_step_matches_dense_reference_dirichlet():
     assert np.abs(u_pf - u_dense).max() <= 1e-9 * max(np.abs(u_pf).max(), 1e-30)
 
 
-@pytest.mark.parametrize("n,k,t_n", [(26, 0.025, 0.0), (201, 0.01, 3.0)])
+def test_step_matches_dense_reference_injected():
+    # problem 1: the wall data enter F as the wall term on both paths
+    spec = problems.make_problem(1)
+    sys_ = spec.build_system(26)
+    u0 = spec.initial_state(sys_)
+    ws = prepare(sys_, 0.025)
+    u_pf = step(ws, u0, 0.0)
+    u_dense = step_dense_reference(sys_, u0, 0.0, 0.025)
+    assert np.abs(u_pf - u_dense).max() <= 1e-9 * np.abs(u_pf).max()
+
+
+@pytest.mark.parametrize("n,k,t_n", [(201, 0.01, 3.0)])
 def test_step_matches_dense_reference_with_wall_data(n, k, t_n):
     spec = problems.make_problem(1)
     sys_ = spec.build_system(n)

@@ -175,20 +175,39 @@ def test_vector_field_conserves_mean():
 # -------------------------------------------------------- boundary handling
 
 
-def test_dirichlet_system_is_reduced():
-    for sys_ in (reduced_system(n=41), wave_system(n=41)):
-        assert sys_.state_size == 39
-        assert np.array_equal(sys_.active_nodes(), sys_.grid.nodes()[1:-1])
-        assert sys_.linear_matrix.shape == sys_.d1_matrix.shape == (39, 39)
-        full = sys_.full_state(np.ones(39), 0.5)
-        assert full.shape == (41,) and np.all(full[1:-1] == 1.0)
+def assert_reduced(sys_):
+    assert sys_.state_size == 39
+    assert np.array_equal(sys_.active_nodes(), sys_.grid.nodes()[1:-1])
+    assert sys_.linear_matrix.shape == sys_.d1_matrix.shape == (39, 39)
+    full = sys_.full_state(np.ones(39), 0.5)
+    assert full.shape == (41,) and np.all(full[1:-1] == 1.0)
+    return full
 
 
-def test_zero_wall_data_full_state_vanishes_at_walls():
+def test_homogeneous_system_is_reduced():
+    full = assert_reduced(reduced_system(n=41))
+    assert full[0] == 0.0 and full[-1] == 0.0
+
+
+def test_system_with_wall_data_is_reduced():
+    assert_reduced(wave_system(n=41))
+
+
+def test_homogeneous_initial_state_vanishes_at_walls():
     sys_ = reduced_system(n=41)
     u0 = sys_.initial_state(lambda x: -np.sin(np.pi * x))
     full = sys_.full_state(u0, 0.0)
     assert full[0] == 0.0 and full[-1] == 0.0
+
+
+def test_injected_initial_state_carries_boundary_data():
+    sys_ = wave_system()
+    u0 = sys_.initial_state(lambda x: example1_exact(x, 0.0))
+    x = sys_.grid.nodes()
+    assert np.array_equal(u0, example1_exact(x[1:-1], 0.0))
+    full = sys_.full_state(u0, 0.0)
+    assert full[0] == pytest.approx(example1_exact(x[0], 0.0), rel=1e-15)
+    assert full[-1] == pytest.approx(example1_exact(x[-1], 0.0), rel=1e-15)
 
 
 def test_full_state_fills_the_walls_from_the_data():
