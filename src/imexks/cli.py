@@ -304,6 +304,13 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.3E}"
 
 
+def _exact_errors(spec: ProblemSpec, sys_, u: np.ndarray, t: float) -> dict:
+    """Max-norm error and GRE against the exact solution on every grid node, walls included."""
+    exact = spec.exact_solution(sys_.grid.nodes(), t)
+    full = sys_.full_state(u, t)
+    return {"max_norm": analysis.max_norm_error(exact, full), "gre": analysis.gre(exact, full)}
+
+
 def _write_table(out: Path, report: dict, header, rows):
     lines = [",".join(header)] + [",".join(row) for row in rows]
     (out / "table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -344,10 +351,8 @@ def _run_solve(cfg: ExperimentConfig, spec: ProblemSpec, out: Path, report: dict
         report["outputs"].append(name)
     row = {"n_points": n_points, "h": sys_.grid.h, "k": cfg.k, "T": cfg.t_final, **timings}
     if spec.exact_solution is not None:
-        exact = spec.exact_solution(sys_.active_nodes(), cfg.t_final)
-        row.update(max_norm=analysis.max_norm_error(exact, u_final),
-                   gre=analysis.gre(exact, u_final), e_k=None, observed_order=None,
-                   wall_seconds=timings["wall_loop_seconds"])
+        row.update(_exact_errors(spec, sys_, u_final, cfg.t_final), e_k=None,
+                   observed_order=None, wall_seconds=timings["wall_loop_seconds"])
     report["rows"].append(row)
     _write_table(out, report, ["n_points", "h", "k", "T", "max_norm", "gre", "wall_loop_s"], [[
         str(n_points), f"{sys_.grid.h:g}", f"{cfg.k:g}", f"{cfg.t_final:g}",
@@ -370,9 +375,7 @@ def _run_converge(cfg: ExperimentConfig, spec: ProblemSpec, out: Path, report: d
         sys_, u_final, _, timings = _timed_run(spec, n_points, k_val, cfg.t_final)
         row = {"n_points": n_points, "h": sys_.grid.h, "k": k_val, "T": cfg.t_final}
         if space_time:
-            exact = spec.exact_solution(sys_.active_nodes(), cfg.t_final)
-            row.update(max_norm=analysis.max_norm_error(exact, u_final),
-                       gre=analysis.gre(exact, u_final))
+            row.update(_exact_errors(spec, sys_, u_final, cfg.t_final))
         else:
             row["e_k"] = analysis.self_difference_error(u_final, u_prev)
             u_prev = u_final
@@ -392,10 +395,9 @@ def _run_converge(cfg: ExperimentConfig, spec: ProblemSpec, out: Path, report: d
 def _run_gre_table(cfg: ExperimentConfig, spec: ProblemSpec, out: Path, report: dict):
     t_final = cfg.t_final if cfg.t_final is not None else max(cfg.times)
     sys_, _, captured, timings = _timed_run(spec, cfg.n_points, cfg.k, t_final, cfg.times)
-    x_active = sys_.active_nodes()
     rows_csv = []
     for t_val in cfg.times:
-        gre_val = analysis.gre(spec.exact_solution(x_active, t_val), captured[t_val])
+        gre_val = _exact_errors(spec, sys_, captured[t_val], t_val)["gre"]
         report["rows"].append({
             "n_points": cfg.n_points, "h": sys_.grid.h, "k": cfg.k, "time": t_val, "gre": gre_val,
             "literature": {name: table.get(t_val) for name, table in LITERATURE_GRE.items()},

@@ -99,10 +99,6 @@ def _tridiag(n: int, lo: float, diag: float, hi: float) -> np.ndarray:
     return out
 
 
-def _materialize(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return linalg.lu_solve(linalg.lu_factor(lhs), rhs)
-
-
 # Smallest grid the D2 builders accept on either boundary kind; the CLI checks
 # Dirichlet grids against it before anything runs.
 MIN_OPERATOR_POINTS = 7
@@ -153,18 +149,24 @@ def _build(grid: Grid, lhs_stencil, rhs_stencil, scale: float) -> np.ndarray:
         n, band = grid.n_points, _circulant
     else:
         n, band = grid.n_points - 2, _tridiag
-    return _freeze(_materialize(band(n, *lhs_stencil), band(n, *rhs_stencil) * scale))
+    return _freeze(linalg.lu_solve(linalg.lu_factor(band(n, *lhs_stencil)),
+                                   band(n, *rhs_stencil) * scale))
 
 
 def _walls(grid: Grid, lhs_stencil, rhs_stencil, scale: float) -> np.ndarray:
     if grid.scheme is not BoundaryScheme.DIRICHLET:
         raise ValueError("wall couplings require a Dirichlet grid")
-    m = grid.n_points - 2
-    # the wall node's terms of the relation at the first and last interior node
-    wall_rhs = np.zeros((m, 4))
-    wall_rhs[0, [0, 2]] = (scale * rhs_stencil[0], -lhs_stencil[0])
-    wall_rhs[-1, [1, 3]] = (scale * rhs_stencil[2], -lhs_stencil[2])
-    return _freeze(_materialize(_tridiag(m, *lhs_stencil), wall_rhs))
+    # A wall node enters the relation at the first (last) interior node, and so
+    # the interior through the first (last) column of A^-1.  For A = (1, d, 1)
+    # that column is x_i ~ r^i - r^(2m-i) (x_m = 0, |r| < 1); the last reversed.
+    m, d = grid.n_points - 2, lhs_stencil[1]
+    r = (np.sqrt(d * d - 4.0) - d) / 2.0
+    i = np.arange(m + 1)
+    x = r**i - r**(2 * m - i)
+    first = x[:m] / (d * x[0] + x[1])
+    walls = np.outer(first, (scale * rhs_stencil[0], 0.0, -lhs_stencil[0], 0.0))
+    walls += np.outer(first[::-1], (0.0, scale * rhs_stencil[2], 0.0, -lhs_stencil[2]))
+    return _freeze(walls)
 
 
 def build_first_derivative(grid: Grid) -> np.ndarray:

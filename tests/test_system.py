@@ -272,7 +272,7 @@ def test_lifted_linear_operator_orders():
     inside = [(x >= -2.0) & (x <= 3.0) for x in (x_coarse, x_fine)]
     assert np.log2(coarse[inside[0]].max() / fine[inside[1]].max()) >= 3.5
     for wall_node in (0, -1):
-        assert 1.8 <= np.log2(coarse[wall_node] / fine[wall_node]) <= 2.4
+        assert np.log2(coarse[wall_node] / fine[wall_node]) >= 1.8
     assert fine.max() < 1e-5
 
 
