@@ -1,17 +1,19 @@
 """Fourth-order compact finite-difference operators on uniform 1-D grids.
 
 The derivative of order p at the nodes is obtained from an implicit
-tridiagonal relation ``A u^(p) = B u``.  Two representations are built here:
+tridiagonal relation ``A u^(p) = B u``.  A real transform diagonalizes the
+relations on both boundary kinds (:func:`transforms`):
 
-* periodic grids (N unknowns, x_{N+1} == x_1): A and B are circulant, so the
-  discrete Fourier transform diagonalizes ``D = A^-1 B``.  The ``*_symbol``
-  functions return its eigenvalues on the ``rfft`` frequencies, which is all
-  the periodic solver uses (O(N) memory, O(N log N) to apply);
-* dense matrices ``D = A^-1 B`` from the ``build_*`` functions, returned as
-  read-only ndarrays.  On a Dirichlet grid they act on the N-2 interior
-  nodes: the relation is written at every interior node and the terms that
-  reach a wall node are dropped from A and B.  On periodic grids the
-  circulant matrices serve as the independent reference for the symbols.
+* periodic grids (N unknowns, x_{N+1} == x_1): A and B are circulant and
+  ``rfft`` diagonalizes them;
+* Dirichlet grids: the relation holds at the N-2 interior nodes, with the
+  terms that reach a wall node dropped.  The truncated symmetric stencils
+  are polynomials in the (1, 0, 1) matrix, which DST-I diagonalizes; the
+  skew B of D1 is applied by slicing (:func:`skew_difference`).
+
+The ``*_symbol`` functions return the eigenvalues on the transform's modes.
+The dense read-only matrices ``D = A^-1 B`` of the ``build_*`` functions are
+the independent reference for them.
 
 The dropped wall terms are the ``*_walls`` matrices W: with the wall values
 u_0, u_{N-1} and the walls' derivatives of order p known, the relation at
@@ -23,7 +25,9 @@ makes the term vanish.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -111,37 +115,78 @@ def _check_size(grid: Grid, minimum: int, what: str):
 
 def _stencil_symbol(stencil, theta: np.ndarray) -> np.ndarray:
     """lo e^{-i theta} + diag + hi e^{i theta}: the eigenvalue of a circulant
-    three-point stencil on the Fourier mode exp(i theta j)."""
+    three-point stencil on the Fourier mode exp(i theta j), and of a truncated
+    symmetric one on the sine mode sin(theta j) at a DST-I angle."""
     lo, diag, hi = stencil
     return diag + (lo + hi) * np.cos(theta) + 1j * (hi - lo) * np.sin(theta)
 
 
-def _rfft_angles(grid: Grid) -> np.ndarray:
-    if grid.scheme is not BoundaryScheme.PERIODIC:
-        raise ValueError("Fourier symbols require a periodic grid")
-    return 2.0 * np.pi * np.fft.rfftfreq(grid.n_points)
+def _angles(grid: Grid) -> np.ndarray:
+    """The mode angles: the ``rfft`` frequencies 2 pi q / N (periodic) or
+    the DST-I angles j pi / (m+1), j = 1 .. m, on the m = N-2 interior nodes."""
+    if grid.scheme is BoundaryScheme.PERIODIC:
+        return 2.0 * np.pi * np.fft.rfftfreq(grid.n_points)
+    m = grid.n_points - 2
+    return np.pi * np.arange(1, m + 1) / (m + 1)
 
 
 def first_derivative_symbol(grid: Grid) -> np.ndarray:
-    """Eigenvalues of the periodic compact D1 on the ``rfft`` frequencies.
+    """The compact D1 on the transform modes.
 
-    (3/h) 2i sin(theta) / (4 + 2 cos(theta)) with theta = 2 pi q / N,
-    q = 0 .. N//2, so ``irfft(symbol * rfft(u), n=N)`` applies D1 to real u.
+    Periodic: the eigenvalues (3/h) 2i sin(theta) / (4 + 2 cos(theta)).
+    Dirichlet: those of (3/h) A^-1, (3/h) / (4 + 2 cos(theta)), since the
+    skew B is not diagonal in DST-I: D1 u = ``idst1(symbol * dst1(skew_difference(u)))``.
     """
-    theta = _rfft_angles(grid)
-    return _freeze((3.0 / grid.h) * _stencil_symbol(_D1_RHS, theta)
-                   / _stencil_symbol(_D1_LHS, theta).real)
+    theta = _angles(grid)
+    lhs = _stencil_symbol(_D1_LHS, theta).real
+    if grid.scheme is BoundaryScheme.PERIODIC:
+        return _freeze((3.0 / grid.h) * _stencil_symbol(_D1_RHS, theta) / lhs)
+    return _freeze((3.0 / grid.h) / lhs)
 
 
 def second_derivative_symbol(grid: Grid) -> np.ndarray:
-    """Eigenvalues of the periodic compact D2 on the ``rfft`` frequencies.
+    """Eigenvalues of the compact D2 on the transform modes.
 
-    (12/h^2) (2 cos(theta) - 2) / (10 + 2 cos(theta)); real and even in
-    theta because the stencils are symmetric.
+    (12/h^2) (2 cos(theta) - 2) / (10 + 2 cos(theta)); real because the
+    stencils are symmetric.
     """
-    theta = _rfft_angles(grid)
+    theta = _angles(grid)
     return _freeze((12.0 / grid.h**2) * _stencil_symbol(_D2_RHS, theta).real
                    / _stencil_symbol(_D2_LHS, theta).real)
+
+
+def skew_difference(u: np.ndarray) -> np.ndarray:
+    """u_{i+1} - u_{i-1} at the interior nodes of a Dirichlet grid, zero walls."""
+    out = np.empty_like(u)
+    out[0], out[-1] = u[1], -u[-2]
+    np.subtract(u[2:], u[:-2], out=out[1:-1])
+    return out
+
+
+def dst1(x: np.ndarray) -> np.ndarray:
+    """DST-I along axis 0: X_j = sum_n x_n sin(pi j n / (m+1)), j, n = 1 .. m.
+
+    The imaginary part of the ``rfft`` of the odd extension [0, x, 0, -x
+    reversed] is -2 X.
+    """
+    x = np.asarray(x, dtype=float)
+    m = x.shape[0]
+    odd = np.zeros((2 * m + 2,) + x.shape[1:])
+    odd[1:m + 1] = x
+    odd[m + 2:] = -x[::-1]
+    return -0.5 * np.fft.rfft(odd, axis=0)[1:m + 1].imag
+
+
+def idst1(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`dst1`: DST-I squared is (m+1)/2 times the identity."""
+    return dst1(coeffs) * (2.0 / (len(coeffs) + 1))
+
+
+def transforms(grid: Grid) -> Tuple[Callable, Callable]:
+    """(forward, inverse): ``rfft``/``irfft`` (periodic) or DST-I (Dirichlet)."""
+    if grid.scheme is BoundaryScheme.PERIODIC:
+        return np.fft.rfft, functools.partial(np.fft.irfft, n=grid.n_points)
+    return dst1, idst1
 
 
 def _build(grid: Grid, lhs_stencil, rhs_stencil, scale: float) -> np.ndarray:

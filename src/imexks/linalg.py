@@ -1,9 +1,9 @@
 """Dense LU factorization with reuse and linear solves.
 
-Serves the dense compact-operator builders and the Dirichlet systems, whose
-operators and shifted stage matrices are held as dense ndarrays.  Periodic
-systems never reach this module: their stage solves are diagonal in Fourier
-space (see ``stepper.prepare``).  LAPACK does the heavy lifting via scipy.
+Serves only the dense reference: the ``compact_fd.build_*`` operators and
+``stepper.step_dense_reference``.  The solver itself never reaches this
+module: its stage solves are diagonal in a real transform (see
+``stepper.prepare``).  LAPACK does the heavy lifting via scipy.
 """
 
 from __future__ import annotations
@@ -25,32 +25,10 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True, eq=False)
 class LuFactorization:
-    """Packed LU factors of a square matrix, reusable for many right-hand sides.
-
-    ``matrix`` keeps the original operand so solves can run optional iterative
-    refinement against it.
-    """
+    """Packed LU factors of a square matrix, reusable for many right-hand sides."""
 
     factors: np.ndarray
     pivots: np.ndarray
-    matrix: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.factors.shape[0]
-
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.factors)
-
-
-def _as_square(a) -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
 
 
 def lu_factor(a) -> LuFactorization:
@@ -60,7 +38,11 @@ def lu_factor(a) -> LuFactorization:
     diagonal entry of U falls below an eps-scaled multiple of the matrix
     magnitude.
     """
-    a = _as_square(a)
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
     scale = np.abs(a).max()
     if scale == 0.0:
         raise SingularMatrixError(0)
@@ -73,26 +55,16 @@ def lu_factor(a) -> LuFactorization:
     small = np.nonzero(diag < tol)[0]
     if small.size:
         raise SingularMatrixError(int(small[0]))
-    return LuFactorization(factors=factors, pivots=pivots, matrix=a)
+    return LuFactorization(factors=factors, pivots=pivots)
 
 
-def lu_solve(fact: LuFactorization, b, refine: int = 0) -> np.ndarray:
+def lu_solve(fact: LuFactorization, b) -> np.ndarray:
     """Solve A x = b against a stored factorization.
 
-    ``b`` may be a vector or a matrix of stacked right-hand sides.  A real
-    factorization accepts complex right-hand sides (real and imaginary parts
-    are solved separately).  ``refine`` extra passes of iterative refinement
-    reuse the same factors; one pass is enough to push the residual of the
-    stiff shifted systems to O(eps).
+    ``b`` may be a vector or a matrix of stacked right-hand sides.
     """
     b = np.asarray(b)
-    if b.shape[0] != fact.n:
-        raise ValueError(f"right-hand side has leading dimension {b.shape[0]}, expected {fact.n}")
-    if np.iscomplexobj(b) and not fact.is_complex:
-        return lu_solve(fact, b.real, refine) + 1j * lu_solve(fact, b.imag, refine)
-    x = scipy.linalg.lu_solve((fact.factors, fact.pivots), b, check_finite=False)
-    for _ in range(refine):
-        residual = b - fact.matrix @ x
-        x = x + scipy.linalg.lu_solve((fact.factors, fact.pivots), residual, check_finite=False)
-    return x
-
+    n = fact.factors.shape[0]
+    if b.shape[0] != n:
+        raise ValueError(f"right-hand side has leading dimension {b.shape[0]}, expected {n}")
+    return scipy.linalg.lu_solve((fact.factors, fact.pivots), b, check_finite=False)

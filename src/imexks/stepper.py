@@ -3,16 +3,14 @@
 The linear part is propagated through the (2,2)-Pade rational
 ``R(z) = (12 - 6z + z^2) / (12 + 6z + z^2)`` of exp(-z) and its half-step
 analogue ``(48 - 12z + z^2) / (48 + 12z + z^2)``.  Partial fractions turn
-every stage into one backward-Euler-type complex solve: the denominators have
-a single conjugate pole pair each, so for real data the conjugate half is the
-mirror of the other and ``2 Re(.)`` of one solve suffices.  Only two LU
-factorizations are needed for the whole time loop, one per denominator.
-On periodic grids the shifted operators are circulant, so each "factorization"
-is the reciprocal of its Fourier symbol and every stage solve is an FFT pair.
+every stage into one backward-Euler-type solve with kL - c: each denominator
+has a single conjugate pole pair, so for real data ``2 Re(.)`` of one solve
+suffices.  L is held as real eigenvalues on the modes of a real transform
+(``rfft`` periodic, DST-I Dirichlet), so ``2 Re(.)`` of a solve is a real
+multiplier per mode; :func:`prepare` computes them once for the time loop.
 
 A dense reference implementation of the same update, evaluated directly from
-the rational matrix functions, serves as the oracle for the partial-fraction
-path.
+the rational matrix functions, serves as the oracle for the transform path.
 """
 
 from __future__ import annotations
@@ -26,10 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .compact_fd import BoundaryScheme
 from .system import SemiDiscreteKse, dense_operators
-
-_SQRT3 = math.sqrt(3.0)
 
 
 class InstabilityError(RuntimeError):
@@ -105,8 +100,8 @@ def scalar_amplification(x, y):
     may be an array.
     """
     z = -complex(y)
-    for pole in (complex(-3.0, _SQRT3), complex(-3.0, -_SQRT3),
-                 complex(-6.0, 2 * _SQRT3), complex(-6.0, -2 * _SQRT3)):
+    co = coefficients()
+    for pole in (co.c1, co.c1.conjugate(), co.c1_half, co.c1_half.conjugate()):
         if abs(z - pole) < _POLE_GUARD:
             raise ValueError(f"z = {z} is too close to the stage pole {pole}")
     x_arr = np.asarray(x, dtype=complex)
@@ -131,61 +126,44 @@ def scalar_amplification(x, y):
 
 @dataclass(eq=False)
 class StepperWorkspace:
-    """The two reusable stage solvers for one (system, k) pair.
+    """The per-mode stage multipliers for one (system, k) pair.
 
-    Periodic systems keep ``inv_full`` and ``inv_half``, the reciprocals
-    1 / (k lambda - c) of the shifted operators on the ``fft`` frequencies,
-    and solve with one FFT pair.  Every other system keeps the dense LU
-    factors ``factor_full`` and ``factor_half``; ``refine`` applies to them.
+    With g = 1 / (k lambda - c1) and g_half = 1 / (k lambda - c1_half) on each
+    transform mode, every field is 2 Re(g w) for the constant w of the same
+    name in :class:`ImexCoefficients`: the half-step constants with g_half,
+    the full-step ones with g, and the weights of F (all but ``w1`` and
+    ``w1_half``) times k.
     """
 
     sys: SemiDiscreteKse
     k: float
-    coeffs: ImexCoefficients
-    factor_full: Optional[linalg.LuFactorization] = None
-    factor_half: Optional[linalg.LuFactorization] = None
-    inv_full: Optional[np.ndarray] = None
-    inv_half: Optional[np.ndarray] = None
-    refine: int = 1
-
-    def _solve(self, factor, inverse, rhs: np.ndarray) -> np.ndarray:
-        if inverse is not None:
-            return np.fft.ifft(inverse * np.fft.fft(rhs))
-        return linalg.lu_solve(factor, rhs, refine=self.refine)
-
-    def solve_full(self, rhs: np.ndarray) -> np.ndarray:
-        return self._solve(self.factor_full, self.inv_full, rhs)
-
-    def solve_half(self, rhs: np.ndarray) -> np.ndarray:
-        return self._solve(self.factor_half, self.inv_half, rhs)
+    w1_half: np.ndarray
+    omega1_half: np.ndarray
+    omega2_half: np.ndarray
+    w1: np.ndarray
+    w11: np.ndarray
+    w21: np.ndarray
+    w31: np.ndarray
 
 
-def prepare(sys: SemiDiscreteKse, k: float, refine: int = 1) -> StepperWorkspace:
-    """Set up (kL - c1 I) and (kL - c1_half I) once for the whole time loop.
-
-    Periodic systems store the two reciprocal symbols (O(N) memory); other
-    systems are LU-factored densely.  ``refine`` is the number of iterative
-    refinement passes per solve and applies only to the dense factorizations:
-    without it the Dirichlet problem-4 ladder loses its fourth-order
-    convergence at the smallest steps.
-    """
+def prepare(sys: SemiDiscreteKse, k: float) -> StepperWorkspace:
+    """The stage multipliers of (kL - c1) and (kL - c1_half), once per time loop."""
     if not (np.isfinite(k) and k > 0):
         raise ValueError("time step must be positive")
     co = coefficients()
-    if sys.scheme is BoundaryScheme.PERIODIC:
-        n = sys.state_size
-        # L is real-symmetric circulant: its eigenvalue at fft frequency q
-        # equals the rfft-frequency eigenvalue at min(q, n - q)
-        q = np.arange(n)
-        kl = k * sys.linear_symbol[np.minimum(q, n - q)]
-        return StepperWorkspace(sys=sys, k=k, coeffs=co, inv_full=1.0 / (kl - co.c1),
-                                inv_half=1.0 / (kl - co.c1_half))
-    z = k * sys.linear_matrix
-    eye = np.eye(sys.state_size)
-    return StepperWorkspace(sys=sys, k=k, coeffs=co,
-                            factor_full=linalg.lu_factor(z - co.c1 * eye),
-                            factor_half=linalg.lu_factor(z - co.c1_half * eye),
-                            refine=refine)
+    kl = k * sys.linear_symbol
+    g_half = 1.0 / (kl - co.c1_half)
+    g = 1.0 / (kl - co.c1)
+    return StepperWorkspace(
+        sys=sys, k=k,
+        w1_half=2.0 * (co.w1_half * g_half).real,
+        omega1_half=2.0 * (k * co.omega1_half * g_half).real,
+        omega2_half=2.0 * (k * co.omega2_half * g_half).real,
+        w1=2.0 * (co.w1 * g).real,
+        w11=2.0 * (k * co.w11 * g).real,
+        w21=2.0 * (k * co.w21 * g).real,
+        w31=2.0 * (k * co.w31 * g).real,
+    )
 
 
 def _check_finite(u: np.ndarray, label: str):
@@ -198,39 +176,34 @@ def _check_finite(u: np.ndarray, label: str):
 def step(ws: StepperWorkspace, u_n: np.ndarray, t_n: float) -> np.ndarray:
     """Advance one step of size k from (t_n, u_n).
 
-    Four complex solves against the stored factorizations; stage vectors stay
-    real via 2 Re(.) of each solve.  F is evaluated at t_n, t_n + k/2,
-    t_n + k/2 and t_n + k, which is where Dirichlet wall data enters.
+    Each stage adds to u_n the inverse transform of the stage multipliers
+    times the transforms of u_n and of the earlier F's.  F is evaluated at
+    t_n, t_n + k/2, t_n + k/2 and t_n + k, which is where Dirichlet wall data
+    enters.
     """
-    sys = ws.sys
-    co = ws.coeffs
-    k = ws.k
+    sys, k = ws.sys, ws.k
     u_n = np.asarray(u_n, dtype=float)
     # overflow in a diverging run is caught by the finite checks below
     with np.errstate(over="ignore", invalid="ignore"):
-        f_n = sys.nonlinear_rhs(u_n, t_n)
+        u_hat = sys.forward(u_n)
+        f_n = sys.transformed_rhs(u_n, t_n)
 
-        r_a = ws.solve_half(co.w1_half * u_n + k * co.omega1_half * f_n)
-        a_n = u_n + 2.0 * r_a.real
+        r_a = ws.w1_half * u_hat + ws.omega1_half * f_n
+        a_n = u_n + sys.inverse(r_a)
         _check_finite(a_n, "a")
-        f_a = sys.nonlinear_rhs(a_n, t_n + k / 2)
+        f_a = sys.transformed_rhs(a_n, t_n + k / 2)
 
-        r_b = ws.solve_half(co.w1_half * u_n + k * (co.omega1_half - co.omega2_half) * f_n
-                            + k * co.omega2_half * f_a)
-        b_n = u_n + 2.0 * r_b.real
+        b_n = u_n + sys.inverse(r_a + ws.omega2_half * (f_a - f_n))
         _check_finite(b_n, "b")
-        f_b = sys.nonlinear_rhs(b_n, t_n + k / 2)
+        f_b = sys.transformed_rhs(b_n, t_n + k / 2)
 
-        r_c = ws.solve_full(co.w1 * u_n + k * (co.w11 - 2.0 * co.w21) * f_n
-                            + 2.0 * k * co.w21 * f_b)
-        c_n = u_n + 2.0 * r_c.real
+        r_c = ws.w1 * u_hat + ws.w11 * f_n
+        c_n = u_n + sys.inverse(r_c + 2.0 * ws.w21 * (f_b - f_n))
         _check_finite(c_n, "c")
-        f_c = sys.nonlinear_rhs(c_n, t_n + k)
+        f_c = sys.transformed_rhs(c_n, t_n + k)
 
-        r_u = ws.solve_full(co.w1 * u_n + k * (co.w11 - 3.0 * co.w21 + co.w31) * f_n
-                            + k * (2.0 * co.w21 - co.w31) * (f_a + f_b)
-                            - k * (co.w21 - co.w31) * f_c)
-        u_next = u_n + 2.0 * r_u.real
+        u_next = u_n + sys.inverse(r_c + ws.w21 * (2.0 * (f_a + f_b) - 3.0 * f_n - f_c)
+                                   + ws.w31 * (f_n - f_a - f_b + f_c))
     _check_finite(u_next, "u")
     return u_next
 

@@ -1,19 +1,17 @@
 """Semi-discrete Kuramoto-Sivashinsky system U_t + L U = F(U, t).
 
 ``L = alpha D2 + beta D4`` collects the stiff linear terms and the quadratic
-transport enters explicitly through ``F(U) = -1/2 D1 (U * U)``.
+transport enters explicitly through ``F(U) = -1/2 D1 (U * U)``.  Both are
+held on the modes of the real transform that diagonalizes the compact
+relations (see compact_fd): O(N) memory, and F costs one transform pair.
 
-Boundary handling comes in two kinds, chosen by the grid scheme:
-
-* periodic - every node is an unknown and the operators are held as their
-  Fourier symbols: ``linear_symbol`` and ``d1_symbol`` on the ``rfft``
-  frequencies, O(N) memory, and F costs one FFT pair;
-* Dirichlet - the N-2 interior nodes are the unknowns, with the dense
-  interior compact operators ``linear_matrix`` and ``d1_matrix``.  Wall data
-  enters as a known affine term of F: the compact relations at the first and
-  last interior node reach the wall nodes, and the wall values of u, (u^2)_x,
-  u_xx and u_xxxx fill those terms in (see :meth:`SemiDiscreteKse.wall_term`).
-  Zero wall data (``boundary_values=None``) adds no term.
+* periodic - every node is an unknown and the transform is ``rfft``;
+* Dirichlet - the N-2 interior nodes are the unknowns and the transform is
+  DST-I.  Wall data enters as a known affine term of F: the compact relations
+  at the first and last interior node reach the wall nodes, and the wall
+  values of u, (u^2)_x, u_xx and u_xxxx fill those terms in (see
+  :meth:`SemiDiscreteKse.wall_term`).  Zero wall data
+  (``boundary_values=None``) adds no term.
 """
 
 from __future__ import annotations
@@ -45,18 +43,17 @@ class KseParameters:
 class SemiDiscreteKse:
     """U_t + L U = F(U, t) on the active unknowns.
 
-    Periodic systems carry ``linear_symbol`` and ``d1_symbol`` (eigenvalues
-    of L and D1 on the ``rfft`` frequencies); Dirichlet systems carry the
-    dense ``linear_matrix`` and ``d1_matrix`` on the interior nodes, and with
-    wall data the ``wall_matrix`` G of :meth:`wall_term`.
+    ``linear_symbol`` and ``d1_symbol`` (see compact_fd) are L and D1 on the
+    modes of the ``forward``/``inverse`` transform pair, and with wall data
+    ``wall_matrix`` is G of :meth:`wall_term` on those modes.
     """
 
     params: KseParameters
     grid: Grid
-    linear_matrix: Optional[np.ndarray] = None
-    d1_matrix: Optional[np.ndarray] = None
-    linear_symbol: Optional[np.ndarray] = None
-    d1_symbol: Optional[np.ndarray] = None
+    linear_symbol: np.ndarray
+    d1_symbol: np.ndarray
+    forward: Callable[[np.ndarray], np.ndarray]
+    inverse: Callable[[np.ndarray], np.ndarray]
     boundary_values: Optional[Callable] = None
     wall_matrix: Optional[np.ndarray] = None
 
@@ -80,26 +77,41 @@ class SemiDiscreteKse:
         """u, u_x, u_xx, u_xxxx (rows) at the left and right wall (columns)."""
         return self.boundary_values(np.array([self.grid.a, self.grid.b]), t)
 
+    def _transformed_wall_term(self, t: float) -> np.ndarray:
+        data = self.wall_data(t)
+        return self.wall_matrix @ np.concatenate((data.ravel(), (data[0] * data[:2]).ravel()))
+
     def wall_term(self, t: float) -> np.ndarray:
         """G w(t): what the wall data adds to F at the interior nodes.
 
         w(t) is the eight wall values of u, u_x, u_xx, u_xxxx followed by u^2
         and u u_x at both walls (G: see ``_wall_matrix``).  Needs wall data.
         """
-        data = self.wall_data(t)
-        return self.wall_matrix @ np.concatenate((data.ravel(), (data[0] * data[:2]).ravel()))
+        return self.inverse(self._transformed_wall_term(t))
 
-    def nonlinear_rhs(self, u: np.ndarray, t: float) -> np.ndarray:
-        """F(U, t) = -1/2 D1 (U * U), plus the wall term when there is wall data."""
+    def _transport(self, u: np.ndarray) -> np.ndarray:
+        """The transform of -1/2 D1 (U * U)."""
         u = np.asarray(u)
         n = self.state_size
         if u.shape[0] != n:
             raise ValueError(f"state has length {u.shape[0]}, expected {n}")
-        if self.scheme is BoundaryScheme.PERIODIC:
-            return -0.5 * np.fft.irfft(self.d1_symbol * np.fft.rfft(u * u), n=n)
-        f = -0.5 * (self.d1_matrix @ (u * u))
+        square = u * u
+        if self.scheme is BoundaryScheme.DIRICHLET:
+            square = compact_fd.skew_difference(square)
+        return -0.5 * self.d1_symbol * self.forward(square)
+
+    def nonlinear_rhs(self, u: np.ndarray, t: float) -> np.ndarray:
+        """F(U, t) = -1/2 D1 (U * U), plus the wall term when there is wall data."""
+        f = self.inverse(self._transport(u))
         if self.boundary_values is not None:
             f += self.wall_term(t)
+        return f
+
+    def transformed_rhs(self, u: np.ndarray, t: float) -> np.ndarray:
+        """The transform of F(U, t), which the stepper works with."""
+        f = self._transport(u)
+        if self.boundary_values is not None:
+            f += self._transformed_wall_term(t)
         return f
 
     def initial_state(self, initial_condition: Callable) -> np.ndarray:
@@ -117,33 +129,31 @@ class SemiDiscreteKse:
         return out
 
 
-def _linear(params: KseParameters, d2: np.ndarray) -> np.ndarray:
-    linear = params.alpha * d2 + params.beta * (d2 @ d2)
-    linear.setflags(write=False)
-    return linear
-
-
 def dense_operators(params: KseParameters, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
     """Dense L = alpha D2 + beta D2^2 and D1 from the compact_fd builders.
 
-    Dirichlet systems run on these interior matrices; on periodic grids they
-    are the independent reference for the Fourier symbols.
+    On both boundary kinds they are the independent reference for the
+    symbols; ``stepper.step_dense_reference`` steps with them.
     """
-    return (_linear(params, compact_fd.build_second_derivative(grid)),
-            compact_fd.build_first_derivative(grid))
+    d2 = compact_fd.build_second_derivative(grid)
+    linear = params.alpha * d2 + params.beta * (d2 @ d2)
+    linear.setflags(write=False)
+    return linear, compact_fd.build_first_derivative(grid)
 
 
-def _wall_matrix(params: KseParameters, grid: Grid, d2: np.ndarray) -> np.ndarray:
-    """G of :meth:`SemiDiscreteKse.wall_term`, one column per entry of w(t).
+def _wall_matrix(params: KseParameters, grid: Grid, s2: np.ndarray) -> np.ndarray:
+    """G of :meth:`SemiDiscreteKse.wall_term` on the DST-I modes, one column
+    per entry of w(t).
 
     With W1, W2 the wall couplings of D1 and D2 (see compact_fd), the wall
     terms of -L u + F(u) are -1/2 W1 (u^2, (u^2)_x) - beta W2 (u_xx, u_xxxx)
     - (alpha W2 + beta D2 W2) (u, u_xx), each pair given at both walls:
     (u^2)_x = 2 u u_x, and D2 (D2 u) needs the walls' (u_xx)_xx = u_xxxx.
+    On the DST-I modes D2 W2 is the D2 symbol ``s2`` times the transform of W2.
     """
-    w1 = compact_fd.first_derivative_walls(grid)
-    w2 = compact_fd.second_derivative_walls(grid)
-    lifted = params.alpha * w2 + params.beta * (d2 @ w2)
+    w1 = compact_fd.dst1(compact_fd.first_derivative_walls(grid))
+    w2 = compact_fd.dst1(compact_fd.second_derivative_walls(grid))
+    lifted = (params.alpha + params.beta * s2)[:, None] * w2
     g = np.zeros((grid.n_points - 2, 12))
     g[:, 0:2] = -lifted[:, 0:2]                              # u
     g[:, 4:6] = -lifted[:, 2:4] - params.beta * w2[:, 0:2]   # u_xx
@@ -164,22 +174,21 @@ def assemble(
     ``boundary_values`` is a callable ``g(x, t)`` returning u, u_x, u_xx and
     u_xxxx (rows) at the points ``x`` (columns); Dirichlet systems evaluate it
     at both walls.  ``None`` means zero wall data.  Periodic grids accept no
-    boundary data and get the Fourier symbols of L and D1 instead of matrices.
+    boundary data.
     """
-    if grid.scheme is BoundaryScheme.PERIODIC:
-        if boundary_values is not None:
-            raise ValueError("periodic systems take no boundary values")
-        s2 = compact_fd.second_derivative_symbol(grid)
-        linear = params.alpha * s2 + params.beta * s2 * s2
-        linear.setflags(write=False)
-        return SemiDiscreteKse(params=params, grid=grid, linear_symbol=linear,
-                               d1_symbol=compact_fd.first_derivative_symbol(grid))
-    d2 = compact_fd.build_second_derivative(grid)
+    if grid.scheme is BoundaryScheme.PERIODIC and boundary_values is not None:
+        raise ValueError("periodic systems take no boundary values")
+    s2 = compact_fd.second_derivative_symbol(grid)
+    linear = params.alpha * s2 + params.beta * s2 * s2
+    linear.setflags(write=False)
+    forward, inverse = compact_fd.transforms(grid)
     return SemiDiscreteKse(
         params=params,
         grid=grid,
-        linear_matrix=_linear(params, d2),
-        d1_matrix=compact_fd.build_first_derivative(grid),
+        linear_symbol=linear,
+        d1_symbol=compact_fd.first_derivative_symbol(grid),
+        forward=forward,
+        inverse=inverse,
         boundary_values=boundary_values,
-        wall_matrix=None if boundary_values is None else _wall_matrix(params, grid, d2),
+        wall_matrix=None if boundary_values is None else _wall_matrix(params, grid, s2),
     )

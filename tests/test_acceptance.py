@@ -34,8 +34,8 @@ def test_criterion_1_table1_space_time_convergence():
     for h, k in [(4.0, 0.025), (2.0, 0.0125), (1.0, 0.00625), (0.5, 0.003125)]:
         n = int(round(100.0 / h)) + 1
         sys_, u = _integrate_problem(spec, n, k, 2.0)
-        exact = spec.exact_solution(sys_.active_nodes(), 2.0)
-        errors.append(analysis.max_norm_error(exact, u))
+        exact = spec.exact_solution(sys_.grid.nodes(), 2.0)
+        errors.append(analysis.max_norm_error(exact, sys_.full_state(u, 2.0)))
     orders = [analysis.observed_order(a, b) for a, b in zip(errors, errors[1:])]
     elapsed = time.perf_counter() - t0
     ok = all(ref / 3 <= err <= ref * 3 for err, ref in zip(errors, expected))
@@ -115,11 +115,12 @@ def test_criterion_5_table2_gre_comparison():
             captured[key] = np.array(u_now, copy=True)
 
     sys_, _ = _integrate_problem(spec, 200, 0.01, 12.0, observer)
-    x = sys_.active_nodes()
+    x = sys_.grid.nodes()
     ok = True
     details = []
     for t_val, ref in expected.items():
-        gre_val = analysis.gre(spec.exact_solution(x, t_val), captured[t_val])
+        full = sys_.full_state(captured[t_val], t_val)
+        gre_val = analysis.gre(spec.exact_solution(x, t_val), full)
         sbsc = LITERATURE_GRE["sbsc"][t_val]
         ok = ok and (ref / 10 <= gre_val <= ref * 10) and gre_val < sbsc
         details.append(f"t={t_val:g}: {gre_val:.3E} (reference {ref:.3E}, sbsc {sbsc:.3E})")

@@ -7,8 +7,10 @@ from imexks.compact_fd import (
     Grid,
     build_first_derivative,
     build_second_derivative,
+    dst1,
     first_derivative_symbol,
     first_derivative_walls,
+    idst1,
     second_derivative_symbol,
     second_derivative_walls,
 )
@@ -156,11 +158,21 @@ def test_symbol_matches_dense_circulant(n, builder, symbol):
     assert np.abs(applied - dense @ u).max() <= 1e-13 * np.abs(dense @ u).max()
 
 
-def test_symbols_require_periodic_grid():
-    with pytest.raises(ValueError):
-        first_derivative_symbol(dirichlet_grid(16))
-    with pytest.raises(ValueError):
-        second_derivative_symbol(dirichlet_grid(16))
+def test_symbols_on_dirichlet_grids_use_the_dst_angles():
+    grid = dirichlet_grid(16)
+    theta = np.pi * np.arange(1, 15) / 15
+    c = 2.0 * np.cos(theta)
+    assert first_derivative_symbol(grid) == pytest.approx((3.0 / grid.h) / (4.0 + c), rel=1e-14)
+    assert second_derivative_symbol(grid) == pytest.approx(
+        (12.0 / grid.h**2) * (c - 2.0) / (10.0 + c), rel=1e-14)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 64, 199])
+def test_dst1_is_the_sine_sum_and_idst1_inverts_it(m):
+    x = np.random.default_rng(m).standard_normal((m, 3))
+    sines = np.sin(np.pi * np.outer(np.arange(1, m + 1), np.arange(1, m + 1)) / (m + 1))
+    assert np.abs(dst1(x) - sines @ x).max() <= 1e-13 * np.abs(sines @ x).max()
+    assert np.abs(idst1(dst1(x[:, 0])) - x[:, 0]).max() <= 1e-14 * np.abs(x).max()
 
 
 # ------------------------------------------------------ convergence orders

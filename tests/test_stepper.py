@@ -23,17 +23,22 @@ from imexks.system import KseParameters, assemble, dense_operators
 SQ3 = math.sqrt(3.0)
 
 
-class ScalarSystem:
-    """1-d linear test system u' = -lam u (+ optional explicit r u)."""
+def _identity(v):
+    return np.asarray(v, dtype=float)
 
-    scheme = None  # not periodic: prepare factors linear_matrix densely
+
+class ScalarSystem:
+    """1-d linear test system u' = -lam u (+ optional explicit r u); its one
+    mode is the state itself, so the transform pair is the identity."""
+
+    forward = inverse = staticmethod(_identity)
 
     def __init__(self, lam, r_coeff=0.0):
-        self.linear_matrix = np.array([[float(lam)]])
+        self.linear_symbol = np.array([float(lam)])
         self.r_coeff = float(r_coeff)
         self.state_size = 1
 
-    def nonlinear_rhs(self, u, t):
+    def transformed_rhs(self, u, t):
         return self.r_coeff * u
 
 
@@ -137,37 +142,55 @@ def test_mean_conservation_identity():
 
 
 def test_prepare_scalar_pole_shift():
-    co = coefficients()
-    sys_ = ScalarSystem(2.0)
-    ws = prepare(sys_, 0.5)
-    out = ws.solve_full(np.array([1.0 + 0.0j]))
-    assert out[0] == pytest.approx(1.0 / (0.5 * 2.0 - co.c1), rel=1e-14)
-    out_h = ws.solve_half(np.array([1.0 + 0.0j]))
-    assert out_h[0] == pytest.approx(1.0 / (0.5 * 2.0 - co.c1_half), rel=1e-14)
+    # each multiplier, 2 Re(w / (z - c)) with the pole c shifted by z = k lam,
+    # is its rational stage function at z
+    k, lam = 0.5, 2.0
+    z = k * lam
+    den, den_h = 12.0 + 6.0 * z + z * z, 48.0 + 12.0 * z + z * z
+    ws = prepare(ScalarSystem(lam), k)
+    expected = {
+        "w1": r22(z) - 1.0, "w11": 12.0 * k / den, "w21": k * (6.0 + z) / den,
+        "w31": 2.0 * k * (4.0 + z) / den, "w1_half": (48.0 - 12.0 * z + z * z) / den_h - 1.0,
+        "omega1_half": 24.0 * k / den_h, "omega2_half": 2.0 * k * (12.0 + z) / den_h,
+    }
+    for name, value in expected.items():
+        assert getattr(ws, name)[0] == pytest.approx(value, rel=1e-14), name
 
 
 def test_prepare_factorization_residual():
-    grid = Grid(0.0, 32 * np.pi, 64, BoundaryScheme.PERIODIC)
-    sys_ = assemble(KseParameters(1.0, 1.0), grid)
-    k = 0.125
-    ws = prepare(sys_, k)
-    co = coefficients()
-    linear, _ = dense_operators(sys_.params, grid)
-    shifted = k * linear - co.c1 * np.eye(64)
-    rng = np.random.default_rng(5)
-    b = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    x = ws.solve_full(b)
-    assert np.abs(shifted @ x - b).max() <= 1e-10 * np.abs(b).max()
+    # on both boundary kinds, u + (the w1 multipliers applied through the
+    # system's transform) is the Pade rational num/den of the dense kL
+    for problem_id, n_points, k in ((2, 64, 0.125), (3, 51, 0.01)):
+        sys_ = problems.make_problem(problem_id).build_system(n_points)
+        ws = prepare(sys_, k)
+        z = k * dense_operators(sys_.params, sys_.grid)[0]
+        eye = np.eye(sys_.state_size)
+        b = np.random.default_rng(5).standard_normal(sys_.state_size)
+        for multiplier, num, den in (
+                (ws.w1, 12.0 * eye - 6.0 * z + z @ z, 12.0 * eye + 6.0 * z + z @ z),
+                (ws.w1_half, 48.0 * eye - 12.0 * z + z @ z, 48.0 * eye + 12.0 * z + z @ z)):
+            x = b + sys_.inverse(multiplier * sys_.forward(b))
+            assert np.abs(den @ x - num @ b).max() <= 1e-10 * np.abs(num @ b).max(), problem_id
 
 
 def test_periodic_prepare_holds_only_order_n_arrays():
     n = 4096
     sys_ = problems.make_problem(2).build_system(n)
     ws = prepare(sys_, 0.25)
-    assert ws.factor_full is None and ws.factor_half is None
     arrays = [v for obj in (ws, sys_) for v in vars(obj).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 4
+    assert len(arrays) == 2 + 7  # the L and D1 symbols, the seven stage multipliers
     assert all(a.ndim == 1 and a.size <= n for a in arrays)
+
+
+def test_dirichlet_prepare_holds_only_order_n_arrays():
+    # problem 1 at h = 1/16: besides the N x 12 wall matrix, only vectors
+    n = 1601
+    sys_ = problems.make_problem(1).build_system(n)
+    ws = prepare(sys_, 0.0625 / 160)
+    arrays = [v for obj in (ws, sys_) for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 2 + 7 + 1
+    assert sys_.wall_matrix.shape == (n - 2, 12)
+    assert all(a.ndim == 1 and a.size <= n for a in arrays if a is not sys_.wall_matrix)
 
 
 def test_prepare_rebuilds_for_new_step():
@@ -175,7 +198,7 @@ def test_prepare_rebuilds_for_new_step():
     ws1 = prepare(sys_, 0.2)
     ws2 = prepare(sys_, 0.1)
     assert ws1.k != ws2.k
-    assert not np.array_equal(ws1.factor_full.matrix, ws2.factor_full.matrix)
+    assert not np.array_equal(ws1.w1, ws2.w1)
 
 
 def test_prepare_rejects_bad_step():
@@ -267,6 +290,23 @@ def test_step_matches_dense_reference_injected():
         u_pf = step(prepare(sys_, k), u0, t_n)
         u_dense = step_dense_reference(sys_, u0, t_n, k)
         assert np.abs(u_pf - u_dense).max() <= 1e-9 * np.abs(u_pf).max(), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_points=st.integers(7, 160), walls=st.booleans(), k=st.sampled_from([0.005, 0.02, 0.1]),
+       t_n=st.floats(0.0, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_step_matches_dense_reference_on_drawn_dirichlet_grids(n_points, walls, k, t_n, seed):
+    # problem 1 carries wall data, problem 3 has zero wall data; the state is
+    # the exact wave (or zero) plus a random perturbation of unit size
+    spec = problems.make_problem(1 if walls else 3)
+    sys_ = spec.build_system(n_points)
+    x = sys_.active_nodes()
+    u0 = np.random.default_rng(seed).standard_normal(x.size)
+    if walls:
+        u0 += spec.exact_solution(x, t_n)
+    u_pf = step(prepare(sys_, k), u0, t_n)
+    u_dense = step_dense_reference(sys_, u0, t_n, k)
+    assert np.abs(u_pf - u_dense).max() <= 1e-9 * np.abs(u_dense).max()
 
 
 def test_dense_reference_tracks_matrix_exponential_for_linear_part():
@@ -376,10 +416,11 @@ def test_problem1_converges_on_fine_grids(n_points, k, t_final):
 
 
 def test_problem1_space_time_order_below_the_table_grids():
-    # the table-1 ladder (k = h/160) continued from h = 0.5 to h = 0.25
-    coarse = _problem1_error(201, 0.5 / 160, 2.0)
-    fine = _problem1_error(401, 0.25 / 160, 2.0)
-    assert 3.6 <= math.log2(coarse / fine) <= 4.4
+    # the table-1 ladder (k = h/160) continued from h = 0.5 to h = 0.0625
+    errors = [_problem1_error(int(round(100.0 / h)) + 1, h / 160, 2.0)
+              for h in (0.5, 0.25, 0.125, 0.0625)]
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+    assert all(3.6 <= order <= 4.4 for order in orders), orders
 
 
 def test_problem2_runs_at_two_to_the_sixteen():

@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imexks import compact_fd
 from imexks.compact_fd import BoundaryScheme, Grid, build_first_derivative, build_second_derivative
 from imexks.problems import example1_exact, example1_wall_data
 from imexks.system import KseParameters, assemble, dense_operators
@@ -31,6 +32,11 @@ def apply_symbol(symbol, u):
 
 def dense_linear(sys_):
     return dense_operators(sys_.params, sys_.grid)[0]
+
+
+def apply_linear(sys_, u):
+    """L u through the system's transform and symbol."""
+    return sys_.inverse(sys_.linear_symbol * sys_.forward(u))
 
 
 def test_parameters_must_be_nonzero():
@@ -72,7 +78,6 @@ def test_periodic_symbol_matches_fourier_modes():
 @pytest.mark.parametrize("n", [63, 64, 256])
 def test_periodic_operators_are_fourier_symbols(n):
     sys_ = periodic_system(alpha=-1.0, beta=1.0, n=n)
-    assert sys_.linear_matrix is None and sys_.d1_matrix is None
     assert sys_.linear_symbol.shape == sys_.d1_symbol.shape == (n // 2 + 1,)
     dense = dense_linear(sys_)
     eig = np.fft.fft(dense[:, 0])[: n // 2 + 1]
@@ -83,13 +88,32 @@ def test_dirichlet_assembly_is_alpha_d2_plus_beta_d4():
     grid = Grid(-1.0, 1.0, 21, BoundaryScheme.DIRICHLET)
     sys_ = assemble(KseParameters(2.0, 0.5), grid, boundary_values=lambda x, t: np.zeros((4, 2)))
     d2 = build_second_derivative(grid)
-    expected = 2.0 * d2 + 0.5 * (d2 @ d2)
-    assert np.array_equal(sys_.linear_matrix, expected)
+    u = np.random.default_rng(21).standard_normal(19)
+    expected = (2.0 * d2 + 0.5 * (d2 @ d2)) @ u
+    assert np.abs(apply_linear(sys_, u) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n", [7, 41, 200, 1601])
+def test_dst_symbols_match_the_dense_interior_operators(n):
+    # D2, L = alpha D2 + beta D2^2 and D1 (skew difference, then A^-1 on the
+    # DST-I modes) against the dense builds, applied to one random vector
+    grid = Grid(-1.0, 1.0, n, BoundaryScheme.DIRICHLET)
+    sys_ = assemble(KseParameters(-1.3, 0.7), grid)
+    linear, d1 = dense_operators(sys_.params, grid)
+    d2 = build_second_derivative(grid)
+    u = np.random.default_rng(n).standard_normal(n - 2)
+    pairs = (
+        (sys_.inverse(compact_fd.second_derivative_symbol(grid) * sys_.forward(u)), d2 @ u),
+        (apply_linear(sys_, u), linear @ u),
+        (sys_.inverse(sys_.d1_symbol * sys_.forward(compact_fd.skew_difference(u))), d1 @ u),
+    )
+    for applied, expected in pairs:
+        assert np.abs(applied - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_zero_wall_data_keeps_the_interior_tridiagonal_operators():
-    # bit for bit the dense interior build: the operators of problems 3 and 4
-    # do not depend on any wall treatment
+    # the truncated interior relations, built here independently: the
+    # operators of problems 3 and 4 do not depend on any wall treatment
     grid = Grid(-1.0, 1.0, 21, BoundaryScheme.DIRICHLET)
     m, h = 19, grid.h
 
@@ -103,8 +127,10 @@ def test_zero_wall_data_keeps_the_interior_tridiagonal_operators():
     d2 = interior((1, 10, 1), (1, -2, 1), 12.0 / h**2)
     sys_ = assemble(KseParameters(2.0, 0.5), grid)
     assert sys_.boundary_values is None and sys_.wall_matrix is None
-    assert np.array_equal(sys_.d1_matrix, d1)
-    assert np.array_equal(sys_.linear_matrix, 2.0 * d2 + 0.5 * (d2 @ d2))
+    u = np.random.default_rng(22).standard_normal(m)
+    for applied, expected in ((sys_.nonlinear_rhs(u, 0.0), -0.5 * d1 @ (u * u)),
+                              (apply_linear(sys_, u), (2.0 * d2 + 0.5 * (d2 @ d2)) @ u)):
+        assert np.abs(applied - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_parameter_linearity():
@@ -178,7 +204,7 @@ def test_vector_field_conserves_mean():
 def assert_reduced(sys_):
     assert sys_.state_size == 39
     assert np.array_equal(sys_.active_nodes(), sys_.grid.nodes()[1:-1])
-    assert sys_.linear_matrix.shape == sys_.d1_matrix.shape == (39, 39)
+    assert sys_.linear_symbol.shape == sys_.d1_symbol.shape == (39,)
     full = sys_.full_state(np.ones(39), 0.5)
     assert full.shape == (41,) and np.all(full[1:-1] == 1.0)
     return full
@@ -247,7 +273,7 @@ def _lifted_errors(n):
     rates = []
     for scale in (1.0, 2.0):
         sys_ = assemble(KseParameters(scale * alpha, scale * beta), grid, wall_data)
-        rates.append(sys_.nonlinear_rhs(u, 0.0) - sys_.linear_matrix @ u)
+        rates.append(sys_.nonlinear_rhs(u, 0.0) - apply_linear(sys_, u))
     return (grid.interior_nodes(), np.abs(rates[0] - rates[1] - linear_exact),
             np.abs(2.0 * rates[0] - rates[1] - transport_exact))
 
