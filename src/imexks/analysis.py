@@ -45,8 +45,7 @@ def observed_order(e_coarse: float, e_fine: float) -> float:
 
 def self_difference_error(u_k, u_2k) -> float:
     """E_k = ||U_k - U_2k||_inf between final states at steps k and 2k."""
-    u_k, u_2k = _pair(u_k, u_2k)
-    return float(np.max(np.abs(u_k - u_2k)))
+    return max_norm_error(u_k, u_2k)
 
 
 def linear_truncation_check(l_value: float, r_value: float,
@@ -71,6 +70,7 @@ def linear_truncation_check(l_value: float, r_value: float,
 
 DEFAULT_WINDOW = (-8.0, 4.0, -8.0, 8.0)
 DEFAULT_RESOLUTION = 512
+BISECTION_STEPS = 48
 
 
 @dataclass(eq=False)
@@ -95,15 +95,14 @@ class StabilityField:
         return float(np.sum(self.magnitudes <= 1.0)) * cell
 
 
-def _bisect_crossings(y: complex, p_in: np.ndarray, p_out: np.ndarray,
-                      iterations: int = 48) -> np.ndarray:
+def _bisect_crossings(y: complex, p_in: np.ndarray, p_out: np.ndarray) -> np.ndarray:
     """Points on the segments [p_in, p_out] where |r| crosses 1, all bisected at once.
 
-    ``p_in`` holds the |r| <= 1 end of each segment.  Each iteration evaluates
-    every midpoint in one call; the bisection stops once every interval is
-    shorter than 1e-12.
+    ``p_in`` holds the |r| <= 1 end of each segment.  Each of at most
+    ``BISECTION_STEPS`` iterations evaluates every midpoint in one call; the
+    bisection stops once every interval is shorter than 1e-12.
     """
-    for _ in range(iterations):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (p_in + p_out)
         mid_in = np.abs(scalar_amplification(mid, y)) <= 1.0
         p_in, p_out = np.where(mid_in, mid, p_in), np.where(mid_in, p_out, mid)
@@ -117,42 +116,24 @@ def _link_segments(tails: np.ndarray, heads: np.ndarray, points: np.ndarray) -> 
 
     Nodes are crossing-edge indices into ``points``.  Each node starts at most
     one segment and ends at most one, so the chains are open paths and closed
-    loops.  Pointer jumping gives every node its chain's label (the first node
-    of a path, the smallest node of a loop) and its rank along the chain.
-    Closed loops end on their first point.
+    loops.  The open paths are walked first, each from a node that no segment
+    enters; the remaining nodes are then visited in increasing order, so each
+    loop is opened at its smallest node and ends on its first point.  The
+    polylines are ordered by their first node.
     """
-    n = points.size
-    if n == 0:
-        return []
-    nodes = np.arange(n)
-    pred = np.full(n, -1, dtype=np.intp)
-    pred[heads] = tails
-    rounds = n.bit_length()  # 2**rounds > n, longer than any chain
-
-    jump = np.where(pred >= 0, pred, nodes)
-    low = nodes
-    for _ in range(rounds):
-        low = np.minimum(low, low[jump])
-        jump = jump[jump]
-    closed = pred[jump] >= 0  # a path's jump has stopped at its first node
-    label = np.where(closed, low, jump)
-
-    cut = np.where(closed & (label == nodes), -1, pred)  # open each loop at its label
-    rank = (cut >= 0).astype(np.intp)
-    jump = np.where(cut >= 0, cut, nodes)
-    for _ in range(rounds):
-        rank = rank + rank[jump]
-        jump = jump[jump]
-
-    order = np.lexsort((rank, label))
-    chains = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
-    polylines = []
-    for chain in chains:
-        if closed[chain[0]]:
-            chain = np.append(chain, chain[0])
-        pts = points[chain]
-        polylines.append(np.column_stack((pts.real, pts.imag)))
-    return polylines
+    following = dict(zip(tails.tolist(), heads.tolist()))
+    path_starts = sorted(following.keys() - following.values())
+    chains = []
+    for node in path_starts + sorted(following):
+        chain = [node]
+        while node in following:
+            node = following.pop(node)
+            chain.append(node)
+        if len(chain) > 1:  # a node of a chain already walked yields [node]
+            chains.append(chain)
+    chains.sort()  # by first node: no two chains share one
+    polylines = [points[chain] for chain in chains]
+    return [np.column_stack((pts.real, pts.imag)) for pts in polylines]
 
 
 def stability_scan(y, window: tuple = DEFAULT_WINDOW,
@@ -164,10 +145,11 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
     is bisected once on the exact scalar scheme, all edges together, so
     boundary points lie on grid edges and satisfy ||r| - 1| <= 1e-3
     regardless of resolution.  Each cell joins its crossing edges in pairs
-    (a saddle cell by its centre sample), oriented with |r| <= 1 on the left,
-    and the segments are linked into polylines by crossing-edge index.  An
-    empty field (window entirely outside the stability region) is flagged,
-    not an error.
+    (a saddle cell by its centre sample), oriented with |r| <= 1 on the left.
+    A walk over the boundary nodes (see :func:`_link_segments`) chains the
+    segments into open polylines, which end on the window's edge, and closed
+    ones, which end on their first point.  An empty field (window entirely
+    outside the stability region) is flagged, not an error.
     """
     y = complex(y)
     re_min, re_max, im_min, im_max = window
@@ -245,14 +227,11 @@ def write_field_csv(stability_field: StabilityField, path):
 
 
 def write_boundary_csv(stability_field: StabilityField, path):
-    """Boundary polylines as (polyline_index, re_x, im_x) rows."""
-    rows = []
-    for idx, line in enumerate(stability_field.boundary):
-        for px, py in line:
-            rows.append((idx, px, py))
-    if rows:
-        np.savetxt(path, np.array(rows), delimiter=",",
-                   fmt=("%d", "%.17e", "%.17e"), header="polyline,re_x,im_x", comments="")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("polyline,re_x,im_x\n")
+    """Boundary polylines as (polyline_index, re_x, im_x) rows.
+
+    No polylines give a 0 x 3 array, for which ``np.savetxt`` writes only the
+    header line.
+    """
+    rows = [(idx, px, py) for idx, line in enumerate(stability_field.boundary) for px, py in line]
+    np.savetxt(path, np.array(rows, dtype=float).reshape(-1, 3), delimiter=",",
+               fmt=("%d", "%.17e", "%.17e"), header="polyline,re_x,im_x", comments="")

@@ -103,8 +103,9 @@ def _tridiag(n: int, lo: float, diag: float, hi: float) -> np.ndarray:
     return out
 
 
-# Smallest grid the D2 builders accept on either boundary kind; the CLI checks
-# Dirichlet grids against it before anything runs.
+# Smallest grid the D2 builders accept on either boundary kind, and the
+# smallest Dirichlet grid that `system.assemble` and the CLI accept: below it
+# the wall couplings or the interior operators have too few nodes.
 MIN_OPERATOR_POINTS = 7
 
 

@@ -9,7 +9,7 @@ problems with zero wall data (Gaussian pulse, decaying sine).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,14 +28,14 @@ TABLE_BETA_PROBLEM4 = 1.1 / math.pi**2
 SWEEP_BETAS_PROBLEM4 = (0.4 / math.pi**2, 0.6 / math.pi**2, 0.8 / math.pi**2)
 
 
-def example1_exact(x, t, mu: float = EXAMPLE1_MU, nu: float = EXAMPLE1_NU,
-                   x0: float = EXAMPLE1_X0):
+def example1_exact(x, t):
     """Traveling-wave solution mu + (15 tanh^3(s) - 45 tanh(s)) / 19^(3/2).
 
-    ``s = nu (x - mu t - x0)``; valid for alpha = -1, beta = 1.
+    ``s = nu (x - mu t - x0)`` with the ``EXAMPLE1_*`` constants, the same
+    ones :func:`example1_wall_data` uses; valid for alpha = -1, beta = 1.
     """
-    s = np.tanh(nu * (np.asarray(x, dtype=float) - mu * t - x0))
-    return mu + (15.0 * s**3 - 45.0 * s) / 19.0**1.5
+    s = np.tanh(EXAMPLE1_NU * (np.asarray(x, dtype=float) - EXAMPLE1_MU * t - EXAMPLE1_X0))
+    return EXAMPLE1_MU + (15.0 * s**3 - 45.0 * s) / 19.0**1.5
 
 
 def _example1_derivative_coefficients() -> np.ndarray:
@@ -75,7 +75,6 @@ class ProblemSpec:
     initial_condition: Callable
     exact_solution: Optional[Callable] = None
     boundary_values: Optional[Callable] = None
-    extra: dict = field(default_factory=dict)
 
     def grid(self, n_points: int) -> Grid:
         return Grid(self.domain[0], self.domain[1], n_points, self.scheme)
@@ -116,7 +115,6 @@ def make_problem(problem_id: int, beta: Optional[float] = None) -> ProblemSpec:
             initial_condition=lambda x: example1_exact(x, 0.0),
             exact_solution=example1_exact,
             boundary_values=example1_wall_data,
-            extra={"mu": EXAMPLE1_MU, "nu": EXAMPLE1_NU, "x0": EXAMPLE1_X0},
         )
     if problem_id == 2:
         return ProblemSpec(
@@ -141,6 +139,5 @@ def make_problem(problem_id: int, beta: Optional[float] = None) -> ProblemSpec:
             params=KseParameters(alpha=1.0, beta=1.1 if beta is None else beta),
             scheme=BoundaryScheme.DIRICHLET,
             initial_condition=_ic_problem4,
-            extra={"beta_sweep": SWEEP_BETAS_PROBLEM4, "table_beta": TABLE_BETA_PROBLEM4},
         )
     raise ValueError(f"unknown problem id {problem_id}")

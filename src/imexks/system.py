@@ -174,10 +174,14 @@ def assemble(
     ``boundary_values`` is a callable ``g(x, t)`` returning u, u_x, u_xx and
     u_xxxx (rows) at the points ``x`` (columns); Dirichlet systems evaluate it
     at both walls.  ``None`` means zero wall data.  Periodic grids accept no
-    boundary data.
+    boundary data; Dirichlet grids need at least
+    ``compact_fd.MIN_OPERATOR_POINTS`` nodes.
     """
     if grid.scheme is BoundaryScheme.PERIODIC and boundary_values is not None:
         raise ValueError("periodic systems take no boundary values")
+    if grid.scheme is BoundaryScheme.DIRICHLET and grid.n_points < compact_fd.MIN_OPERATOR_POINTS:
+        raise ValueError(f"a Dirichlet grid needs at least {compact_fd.MIN_OPERATOR_POINTS} "
+                         f"points, got {grid.n_points}")
     s2 = compact_fd.second_derivative_symbol(grid)
     linear = params.alpha * s2 + params.beta * s2 * s2
     linear.setflags(write=False)

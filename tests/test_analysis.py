@@ -217,6 +217,21 @@ def test_boundary_polylines_are_chained():
         assert np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]) > 0.0
 
 
+def test_link_segments_opens_loops_at_their_smallest_node():
+    # loops 4 -> 9 -> 1 and 6 -> 11 -> 2 -> 7, each listed from a node that is
+    # not its smallest; paths 5 -> 0 -> 10 and 3 -> 8, the first starting
+    # above both loops' smallest nodes
+    segments = [(9, 1), (5, 0), (6, 11), (3, 8), (2, 7), (4, 9), (0, 10), (11, 2), (1, 4), (7, 6)]
+    tails, heads = (np.array(column) for column in zip(*segments))
+    lines = analysis._link_segments(tails, heads, np.arange(12) * (1.0 - 2.0j))
+    assert [line[:, 0].tolist() for line in lines] == [
+        [1, 4, 9, 1], [2, 7, 6, 11, 2], [3, 8], [5, 0, 10]]
+    assert all(np.array_equal(line[:, 1], -2.0 * line[:, 0]) for line in lines)
+    assert [np.array_equal(line[0], line[-1]) for line in lines] == [True, True, False, False]
+    empty = np.array([], dtype=int)
+    assert analysis._link_segments(empty, empty, np.array([], dtype=complex)) == []
+
+
 def test_scan_boundary_contract():
     field = stability_scan(-2.0, window=(-6.0, 3.0, -6.0, 6.0), resolution=128)
     pts = np.vstack(field.boundary)

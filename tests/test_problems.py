@@ -12,6 +12,7 @@ from imexks.problems import (
     example1_wall_data,
     make_problem,
 )
+from imexks.stepper import integrate
 
 
 def test_wave_center_value():
@@ -108,7 +109,7 @@ def test_problem4_spec_and_grid():
     assert abs(spec.initial_condition(1.0)) <= 1e-15
     grid = spec.grid(41)
     assert grid.h == pytest.approx(0.05)
-    assert spec.extra["table_beta"] == pytest.approx(1.1 / math.pi**2)
+    assert TABLE_BETA_PROBLEM4 == pytest.approx(1.1 / math.pi**2)
     assert len(SWEEP_BETAS_PROBLEM4) == 3
 
 
@@ -133,6 +134,16 @@ def test_build_system_scheme_selection():
         sys_ = make_problem(problem_id).build_system(n)
         assert sys_.state_size == n - 2
         assert (sys_.wall_matrix is None) == (problem_id != 1)
+
+
+@pytest.mark.parametrize("problem_id", [1, 3])
+def test_dirichlet_grids_below_seven_points_are_rejected(problem_id):
+    spec = make_problem(problem_id)
+    for n_points in range(3, 7):
+        with pytest.raises(ValueError, match="needs at least 7 points"):
+            spec.build_system(n_points)
+    sys_ = spec.build_system(7)
+    assert np.isfinite(integrate(sys_, spec.initial_state(sys_), 0.01, 0.1)).all()
 
 
 def test_initial_state_respects_boundaries():
