@@ -1,31 +1,29 @@
-"""Experiment command line: solve runs, convergence tables, stability scans.
+"""Experiment command line: ``imexks --config <path> [--set key=value ...] [--out <dir>]``.
 
-Subcommands
------------
-``solve``      single run, field snapshots, errors when an exact solution exists
-``converge``   space-time or time-only refinement study (mode from the config)
-``stability``  amplification-factor scans and |r| = 1 boundaries
-``table``      global-relative-error table against the published comparisons
-
-Each subcommand takes ``--config <path>`` (flat JSON), inline overrides
-``--set key=value`` and ``--out <dir>``.  Exit codes: 0 success, 2 config
-error, 3 numerical instability, 4 I/O error.
+The flat JSON config, with ``--set`` overrides, names its ``mode``, and the
+mode alone picks what runs: ``solve`` (one run, field snapshots, errors when
+an exact solution exists), ``converge-space-time`` and ``converge-time``
+(refinement studies), ``gre-table`` (global relative errors against the
+published comparisons) or ``stability`` (amplification-factor scans and
+|r| = 1 boundaries).  Exit codes: 0 success, 2 config error, 3 numerical
+instability, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Tuple
+from types import MappingProxyType
+from typing import Mapping, Tuple
 
 import numpy as np
 
 from . import analysis, stepper
-from .compact_fd import MIN_OPERATOR_POINTS, BoundaryScheme
+from .compact_fd import BoundaryScheme
 from .problems import ProblemSpec, make_problem
 from .stepper import InstabilityError
 
@@ -45,43 +43,31 @@ class ConfigError(ValueError):
 
 def _near_multiple(value: float, unit: float) -> bool:
     ratio = value / unit
-    return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio))
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio))
 
 
 def _is_halving(seq) -> bool:
     return all(abs(b - a / 2.0) <= 1e-12 * abs(a) for a, b in zip(seq, seq[1:]))
 
 
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
 def parse_y_value(raw) -> complex:
     """Accept plain numbers or strings like '-2', '5i', '-20i'."""
     if isinstance(raw, (int, float)):
-        return complex(float(raw), 0.0)
+        return complex(_finite(raw), 0.0)
     text = str(raw).strip().replace(" ", "")
     if text.endswith(("i", "j")):
         body = text[:-1]
         if body in ("", "+", "-"):
             body += "1"
-        return complex(0.0, float(body))
-    return complex(float(text), 0.0)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    mode: str
-    problem: Optional[int] = None
-    n_points: Optional[int] = None
-    h: Optional[Tuple[float, ...] | float] = None
-    k: Optional[Tuple[float, ...] | float] = None
-    t_final: Optional[float] = None
-    snapshots: Tuple[float, ...] = ()
-    times: Tuple[float, ...] = ()
-    beta: Optional[float] = None
-    y: Tuple[str, ...] = ()
-    window: Optional[Tuple[float, float, float, float]] = None
-    resolution: Optional[int] = None
-
-    def y_values(self) -> Tuple[complex, ...]:
-        return tuple(parse_y_value(label) for label in self.y)
+        return complex(0.0, _finite(body))
+    return complex(_finite(text), 0.0)
 
 
 def _integer(value) -> int:
@@ -91,11 +77,11 @@ def _integer(value) -> int:
 
 
 def _floats(value) -> Tuple[float, ...]:
-    return tuple(map(float, value if isinstance(value, (list, tuple)) else [value]))
+    return tuple(map(_finite, value if isinstance(value, (list, tuple)) else [value]))
 
 
 def _float_or_list(value):
-    return _floats(value) if isinstance(value, (list, tuple)) else float(value)
+    return _floats(value) if isinstance(value, (list, tuple)) else _finite(value)
 
 
 def _y_labels(value) -> Tuple[str, ...]:
@@ -110,41 +96,23 @@ def _window(value) -> Tuple[float, ...]:
     return _floats(value)
 
 
-# config key -> (ExperimentConfig field, coercer of the JSON value)
-_KEYS = {
-    "mode": ("mode", str),
-    "problem": ("problem", _integer),
-    "N": ("n_points", _integer),
-    "h": ("h", _float_or_list),
-    "k": ("k", _float_or_list),
-    "T": ("t_final", float),
-    "snapshots": ("snapshots", _floats),
-    "times": ("times", _floats),
-    "beta": ("beta", float),
-    "y": ("y", _y_labels),
-    "window": ("window", _window),
-    "resolution": ("resolution", _integer),
-}
-_FIELD_TO_KEY = {name: key for key, (name, _) in _KEYS.items()}
+# config key -> coercer of its JSON value; a config lists its keys in this order
+_KEYS = {"mode": str, "problem": _integer, "N": _integer, "h": _float_or_list,
+         "k": _float_or_list, "T": _finite, "snapshots": _floats, "times": _floats,
+         "beta": _finite, "y": _y_labels, "window": _window, "resolution": _integer}
 
-# mode -> (subcommand, required keys, rejected keys, keys that take a list)
+# mode -> (required keys, rejected keys, keys that take a list)
 _STABILITY_KEYS = ("y", "window", "resolution")
 _MODES = {
-    "solve": ("solve", ("problem", "k", "T"), ("times", *_STABILITY_KEYS), ()),
-    "converge-space-time": ("converge", ("problem", "h", "k", "T"),
+    "solve": (("problem", "k", "T"), ("times", *_STABILITY_KEYS), ()),
+    "converge-space-time": (("problem", "h", "k", "T"),
                             ("N", "snapshots", "times", *_STABILITY_KEYS), ("h", "k")),
-    "converge-time": ("converge", ("problem", "N", "k", "T"),
+    "converge-time": (("problem", "N", "k", "T"),
                       ("h", "snapshots", "times", *_STABILITY_KEYS), ("k",)),
-    "stability": ("stability", ("y",),
-                  ("problem", "N", "h", "k", "T", "snapshots", "times", "beta"), ()),
-    "gre-table": ("table", ("problem", "N", "k", "times"),
-                  ("h", "snapshots", *_STABILITY_KEYS), ()),
+    "stability": (("y",), ("problem", "N", "h", "k", "T", "snapshots", "times", "beta"), ()),
+    "gre-table": (("problem", "N", "k", "times"), ("h", "T", "snapshots", *_STABILITY_KEYS),
+                  ()),
 }
-MODES = tuple(_MODES)
-
-
-def _given(value) -> bool:
-    return value is not None and value != ()
 
 
 def _json_object(text: str) -> dict:
@@ -157,36 +125,27 @@ def _json_object(text: str) -> dict:
     return data
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a flat JSON configuration document."""
-    return config_from_dict(_json_object(text))
-
-
-def config_from_dict(data: dict) -> ExperimentConfig:
-    kwargs = {}
+def config_from_dict(data: dict) -> Mapping:
+    """The validated config, read-only, in ``_KEYS`` order; lists become tuples, empty
+    ones are dropped."""
+    coerced = {}
     for key, value in data.items():
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        name, coerce = _KEYS[key]
         try:
-            kwargs[name] = coerce(value)
+            coerced[key] = _KEYS[key](value)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad value for {key!r}: {err}") from err
-    if "mode" not in kwargs:
+    if "mode" not in coerced:
         raise ConfigError("config requires a mode")
-    cfg = ExperimentConfig(**kwargs)
+    cfg = MappingProxyType({key: coerced[key] for key in _KEYS if coerced.get(key, ()) != ()})
     validate_config(cfg)
     return cfg
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Inverse of :func:`parse_config` (round-trips exactly)."""
-    data = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if _given(value):
-            data[_FIELD_TO_KEY[f.name]] = list(value) if isinstance(value, tuple) else value
-    return json.dumps(data, indent=2) + "\n"
+def serialize_config(cfg: Mapping) -> str:
+    """JSON text that :func:`config_from_dict` reads back to an equal config."""
+    return json.dumps(dict(cfg), indent=2) + "\n"
 
 
 def _override_value(raw: str):
@@ -208,75 +167,71 @@ def apply_overrides(data: dict, pairs) -> dict:
     return out
 
 
-def _run_points(cfg: ExperimentConfig, spec: ProblemSpec) -> Tuple[int, ...]:
+def _run_points(cfg: Mapping, spec: ProblemSpec) -> Tuple[int, ...]:
     """Node count of each run, aligned with the k list."""
-    if cfg.n_points is not None:
-        return (cfg.n_points,) * len(_floats(cfg.k))
+    if "N" in cfg:
+        return (cfg["N"],) * len(_floats(cfg["k"]))
     length = spec.domain[1] - spec.domain[0]
-    if not all(_near_multiple(length, h) for h in _floats(cfg.h)):
-        raise ConfigError(f"h = {cfg.h} does not divide the domain length {length}")
+    if not all(_near_multiple(length, h) for h in _floats(cfg["h"])):
+        raise ConfigError(f"h = {cfg['h']} does not divide the domain length {length}")
     walls = 0 if spec.scheme is BoundaryScheme.PERIODIC else 1
-    return tuple(int(round(length / h)) + walls for h in _floats(cfg.h))
+    return tuple(int(round(length / h)) + walls for h in _floats(cfg["h"]))
 
 
-def validate_config(cfg: ExperimentConfig):
-    if cfg.mode not in _MODES:
-        raise ConfigError(f"unknown mode {cfg.mode!r}; expected one of {MODES}")
-    _, required, rejected, lists = _MODES[cfg.mode]
+def validate_config(cfg: Mapping):
+    mode = cfg["mode"]
+    if mode not in _MODES:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {tuple(_MODES)}")
+    required, rejected, lists = _MODES[mode]
     for key in required + rejected:
-        if _given(getattr(cfg, _KEYS[key][0])) != (key in required):
+        if (key in cfg) != (key in required):
             verb = "requires" if key in required else "does not accept"
-            raise ConfigError(f"mode {cfg.mode!r} {verb} {key!r}")
-    if cfg.mode == "stability":
-        if cfg.resolution is not None and cfg.resolution < 16:
+            raise ConfigError(f"mode {mode!r} {verb} {key!r}")
+    if mode == "stability":
+        if cfg.get("resolution", 16) < 16:
             raise ConfigError("stability resolution must be at least 16")
-        re_min, re_max, im_min, im_max = cfg.window or analysis.DEFAULT_WINDOW
+        re_min, re_max, im_min, im_max = cfg.get("window", analysis.DEFAULT_WINDOW)
         if not (re_max > re_min and im_max > im_min):
             raise ConfigError("window must satisfy re_min < re_max and im_min < im_max")
         return
-    if cfg.mode == "solve" and (cfg.n_points is None) == (cfg.h is None):
+    if mode == "solve" and ("N" in cfg) == ("h" in cfg):
         raise ConfigError("solve requires exactly one of N or h")
     for key in ("h", "k"):
-        value = getattr(cfg, key)
-        if value is not None and isinstance(value, tuple) != (key in lists):
+        if key in cfg and isinstance(cfg[key], tuple) != (key in lists):
             what = "a list" if key in lists else "a single value"
-            raise ConfigError(f"mode {cfg.mode!r} takes {what} for {key!r}")
-    if any(min(_floats(v)) <= 0 for v in (cfg.h, cfg.k, cfg.t_final) if v is not None):
+            raise ConfigError(f"mode {mode!r} takes {what} for {key!r}")
+    if any(min(_floats(cfg[key])) <= 0 for key in ("h", "k", "T") if key in cfg):
         raise ConfigError("h, k and T must be positive")
     if lists:
-        if cfg.h is not None and len(cfg.h) != len(cfg.k):
+        if "h" in cfg and len(cfg["h"]) != len(cfg["k"]):
             raise ConfigError("h and k lists must have equal length")
-        if len(cfg.k) < 2:
+        if len(cfg["k"]) < 2:
             raise ConfigError("refinement lists need at least two levels")
-        if not all(_is_halving(getattr(cfg, key)) for key in lists):
+        if not all(_is_halving(cfg[key]) for key in lists):
             raise ConfigError("refinement lists must halve at every level")
 
     # converge-time also runs a reference at twice the first step
-    steps = _floats(cfg.k) + ((2.0 * cfg.k[0],) if cfg.mode == "converge-time" else ())
+    steps = _floats(cfg["k"]) + ((2.0 * cfg["k"][0],) if mode == "converge-time" else ())
     for k_val in steps:
-        if cfg.t_final is not None and not _near_multiple(cfg.t_final, k_val):
-            raise ConfigError(f"T = {cfg.t_final} is not an integer multiple of k = {k_val}")
-    for t_snap in cfg.snapshots:
-        if t_snap < 0 or t_snap > cfg.t_final or not _near_multiple(t_snap, cfg.k):
+        if "T" in cfg and not _near_multiple(cfg["T"], k_val):
+            raise ConfigError(f"T = {cfg['T']} is not an integer multiple of k = {k_val}")
+    for t_snap in cfg.get("snapshots", ()):
+        if t_snap < 0 or t_snap > cfg["T"] or not _near_multiple(t_snap, cfg["k"]):
             raise ConfigError(f"snapshot time {t_snap} is not a step multiple within [0, T]")
-    if list(cfg.times) != sorted(set(cfg.times)):
+    times = cfg.get("times", ())
+    if list(times) != sorted(set(times)):
         raise ConfigError("times must be strictly increasing")
-    for t_val in cfg.times:
-        if t_val <= 0 or not _near_multiple(t_val, cfg.k):
+    for t_val in times:
+        if t_val <= 0 or not _near_multiple(t_val, cfg["k"]):
             raise ConfigError(f"time {t_val} is not a positive step multiple")
-    if cfg.times and cfg.t_final is not None and cfg.t_final < cfg.times[-1]:
-        raise ConfigError("T must cover the last requested time")
     try:
-        spec = make_problem(cfg.problem, beta=cfg.beta)
+        spec = make_problem(cfg["problem"], beta=cfg.get("beta"))
         for n_points in set(_run_points(cfg, spec)):
-            spec.grid(n_points)
-            if spec.scheme is BoundaryScheme.DIRICHLET and n_points < MIN_OPERATOR_POINTS:
-                raise ConfigError(f"a Dirichlet grid needs at least {MIN_OPERATOR_POINTS} "
-                                  f"points, got {n_points}")
+            spec.build_system(n_points)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    if cfg.mode in ("converge-space-time", "gre-table") and spec.exact_solution is None:
-        raise ConfigError(f"mode {cfg.mode!r} requires the problem with an exact solution")
+    if mode in ("converge-space-time", "gre-table") and spec.exact_solution is None:
+        raise ConfigError(f"mode {mode!r} requires the problem with an exact solution")
 
 
 def _timed_run(spec: ProblemSpec, n_points: int, k: float, t_final: float, capture=()):
@@ -317,7 +272,7 @@ def _write_table(out: Path, report: dict, header, rows):
     report["outputs"].append("table.csv")
 
 
-def run(cfg: ExperimentConfig, out_dir) -> dict:
+def run(cfg: Mapping, out_dir) -> dict:
     """Execute the experiment and write report.json plus CSV outputs.
 
     When a run fails, the partial report is still written before the error
@@ -325,11 +280,11 @@ def run(cfg: ExperimentConfig, out_dir) -> dict:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = {"config": json.loads(serialize_config(cfg)), "mode": cfg.mode,
-              "rows": [], "outputs": []}
+    mode = cfg["mode"]
+    report = {"config": json.loads(serialize_config(cfg)), "mode": mode, "rows": [], "outputs": []}
     try:
-        spec = None if cfg.mode == "stability" else make_problem(cfg.problem, beta=cfg.beta)
-        _RUNNERS[cfg.mode](cfg, spec, out, report)
+        spec = None if mode == "stability" else make_problem(cfg["problem"], beta=cfg.get("beta"))
+        _RUNNERS[mode](cfg, spec, out, report)
     except InstabilityError as err:
         report["instability"] = {"message": str(err), "step_index": err.step_index,
                                  "time": err.time, "max_abs": err.max_abs}
@@ -339,43 +294,45 @@ def run(cfg: ExperimentConfig, out_dir) -> dict:
     return report
 
 
-def _run_solve(cfg: ExperimentConfig, spec: ProblemSpec, out: Path, report: dict):
+def _run_solve(cfg: Mapping, spec: ProblemSpec, out: Path, report: dict):
     (n_points,) = _run_points(cfg, spec)
-    sys_, u_final, captured, timings = _timed_run(spec, n_points, cfg.k, cfg.t_final,
-                                                  cfg.snapshots or (cfg.t_final,))
+    k, t_final = cfg["k"], cfg["T"]
+    sys_, u_final, captured, timings = _timed_run(spec, n_points, k, t_final,
+                                                  cfg.get("snapshots", (t_final,)))
     x_full = sys_.grid.nodes()
     for t_snap in sorted(captured):
         name = f"field_t{t_snap:g}.csv"
         np.savetxt(out / name, np.column_stack([x_full, sys_.full_state(captured[t_snap], t_snap)]),
                    delimiter=",", fmt="%.17e", header="x,u", comments="")
         report["outputs"].append(name)
-    row = {"n_points": n_points, "h": sys_.grid.h, "k": cfg.k, "T": cfg.t_final, **timings}
+    row = {"n_points": n_points, "h": sys_.grid.h, "k": k, "T": t_final, **timings}
     if spec.exact_solution is not None:
-        row.update(_exact_errors(spec, sys_, u_final, cfg.t_final), e_k=None,
+        row.update(_exact_errors(spec, sys_, u_final, t_final), e_k=None,
                    observed_order=None, wall_seconds=timings["wall_loop_seconds"])
     report["rows"].append(row)
     _write_table(out, report, ["n_points", "h", "k", "T", "max_norm", "gre", "wall_loop_s"], [[
-        str(n_points), f"{sys_.grid.h:g}", f"{cfg.k:g}", f"{cfg.t_final:g}",
+        str(n_points), f"{sys_.grid.h:g}", f"{k:g}", f"{t_final:g}",
         _fmt(row.get("max_norm")), _fmt(row.get("gre")), f"{timings['wall_loop_seconds']:.4f}",
     ]])
 
 
-def _run_converge(cfg: ExperimentConfig, spec: ProblemSpec, out: Path, report: dict):
+def _run_converge(cfg: Mapping, spec: ProblemSpec, out: Path, report: dict):
     """Space-time mode: max-norm error against the exact solution per (h, k).
     Time mode: E_k against the run at twice the step, starting from 2 k[0]."""
-    space_time = cfg.mode == "converge-space-time"
+    space_time = cfg["mode"] == "converge-space-time"
+    t_final = cfg["T"]
     if not space_time:
-        k_ref = 2.0 * cfg.k[0]
-        _, u_prev, _, timings = _timed_run(spec, cfg.n_points, k_ref, cfg.t_final)
+        k_ref = 2.0 * cfg["k"][0]
+        _, u_prev, _, timings = _timed_run(spec, cfg["N"], k_ref, t_final)
         report["reference_run"] = {"k": k_ref, **timings}
     error_key = "max_norm" if space_time else "e_k"
     e_prev = None
     rows_csv = []
-    for n_points, k_val in zip(_run_points(cfg, spec), cfg.k):
-        sys_, u_final, _, timings = _timed_run(spec, n_points, k_val, cfg.t_final)
-        row = {"n_points": n_points, "h": sys_.grid.h, "k": k_val, "T": cfg.t_final}
+    for n_points, k_val in zip(_run_points(cfg, spec), cfg["k"]):
+        sys_, u_final, _, timings = _timed_run(spec, n_points, k_val, t_final)
+        row = {"n_points": n_points, "h": sys_.grid.h, "k": k_val, "T": t_final}
         if space_time:
-            row.update(_exact_errors(spec, sys_, u_final, cfg.t_final))
+            row.update(_exact_errors(spec, sys_, u_final, t_final))
         else:
             row["e_k"] = analysis.self_difference_error(u_final, u_prev)
             u_prev = u_final
@@ -384,7 +341,7 @@ def _run_converge(cfg: ExperimentConfig, spec: ProblemSpec, out: Path, report: d
         row.update(observed_order=order, **timings)
         report["rows"].append(row)
         rows_csv.append([
-            str(n_points), f"{sys_.grid.h:g}", f"{k_val:g}", f"{cfg.t_final:g}", _fmt(error),
+            str(n_points), f"{sys_.grid.h:g}", f"{k_val:g}", f"{t_final:g}", _fmt(error),
             "" if order is None else f"{order:.4f}", f"{timings['wall_loop_seconds']:.4f}",
         ])
         e_prev = error
@@ -392,18 +349,18 @@ def _run_converge(cfg: ExperimentConfig, spec: ProblemSpec, out: Path, report: d
                  rows_csv)
 
 
-def _run_gre_table(cfg: ExperimentConfig, spec: ProblemSpec, out: Path, report: dict):
-    t_final = cfg.t_final if cfg.t_final is not None else max(cfg.times)
-    sys_, _, captured, timings = _timed_run(spec, cfg.n_points, cfg.k, t_final, cfg.times)
+def _run_gre_table(cfg: Mapping, spec: ProblemSpec, out: Path, report: dict):
+    n_points, k, times = cfg["N"], cfg["k"], cfg["times"]
+    sys_, _, captured, timings = _timed_run(spec, n_points, k, times[-1], times)
     rows_csv = []
-    for t_val in cfg.times:
+    for t_val in times:
         gre_val = _exact_errors(spec, sys_, captured[t_val], t_val)["gre"]
         report["rows"].append({
-            "n_points": cfg.n_points, "h": sys_.grid.h, "k": cfg.k, "time": t_val, "gre": gre_val,
+            "n_points": n_points, "h": sys_.grid.h, "k": k, "time": t_val, "gre": gre_val,
             "literature": {name: table.get(t_val) for name, table in LITERATURE_GRE.items()},
         })
         rows_csv.append([
-            str(cfg.n_points), f"{sys_.grid.h:g}", f"{cfg.k:g}", f"{t_val:g}", _fmt(gre_val),
+            str(n_points), f"{sys_.grid.h:g}", f"{k:g}", f"{t_val:g}", _fmt(gre_val),
             *(_fmt(table.get(t_val)) for table in LITERATURE_GRE.values()),
         ])
     report["timings"] = timings
@@ -411,12 +368,13 @@ def _run_gre_table(cfg: ExperimentConfig, spec: ProblemSpec, out: Path, report: 
                                "gre_qbsc_literature", "gre_lbm_literature"], rows_csv)
 
 
-def _run_stability(cfg: ExperimentConfig, _spec, out: Path, report: dict):
-    window = cfg.window if cfg.window is not None else analysis.DEFAULT_WINDOW
-    resolution = cfg.resolution if cfg.resolution is not None else analysis.DEFAULT_RESOLUTION
-    for label, y_val in zip(cfg.y, cfg.y_values()):
+def _run_stability(cfg: Mapping, _spec, out: Path, report: dict):
+    window = cfg.get("window", analysis.DEFAULT_WINDOW)
+    resolution = cfg.get("resolution", analysis.DEFAULT_RESOLUTION)
+    for label in cfg["y"]:
         t0 = time.perf_counter()
-        field_ = analysis.stability_scan(y_val, window=window, resolution=resolution)
+        field_ = analysis.stability_scan(parse_y_value(label), window=window,
+                                         resolution=resolution)
         elapsed = time.perf_counter() - t0
         tag = "".join(ch if (ch.isalnum() or ch in "+-.") else "_" for ch in label)
         field_name = f"stability_y{tag}.csv"
@@ -439,21 +397,15 @@ _RUNNERS = {"solve": _run_solve, "converge-space-time": _run_converge,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="imexks", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in dict.fromkeys(subcommand for subcommand, *_ in _MODES.values()):
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="path to a JSON config")
-        cmd.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                         help="override a config key")
-        cmd.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--config", required=True, help="path to a JSON config")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a config key")
+    parser.add_argument("--out", default="out", help="output directory")
     args = parser.parse_args(argv)
 
     try:
         raw = _json_object(Path(args.config).read_text(encoding="utf-8"))
-        cfg = config_from_dict(apply_overrides(raw, args.set))
-        if _MODES[cfg.mode][0] != args.command:
-            raise ConfigError(f"subcommand {args.command!r} cannot run mode {cfg.mode!r}")
-        report = run(cfg, args.out)
+        report = run(config_from_dict(apply_overrides(raw, args.set)), args.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -104,8 +104,8 @@ def _tridiag(n: int, lo: float, diag: float, hi: float) -> np.ndarray:
 
 
 # Smallest grid the D2 builders accept on either boundary kind, and the
-# smallest Dirichlet grid that `system.assemble` and the CLI accept: below it
-# the wall couplings or the interior operators have too few nodes.
+# smallest Dirichlet grid `system.assemble` (and so the CLI) accepts: below
+# it the wall couplings or the interior operators have too few nodes.
 MIN_OPERATOR_POINTS = 7
 
 

@@ -9,25 +9,25 @@ from hypothesis import strategies as st
 from imexks import cli
 from imexks.cli import (
     ConfigError,
-    ExperimentConfig,
     apply_overrides,
     config_from_dict,
-    parse_config,
     parse_y_value,
     serialize_config,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-SUBCOMMANDS = ("solve", "converge", "stability", "table")
 
 
 def test_parse_minimal_solve_config():
-    cfg = parse_config('{"problem": 1, "mode": "solve", "N": 201, "k": 0.01, "T": 2}')
-    assert cfg.mode == "solve"
-    assert cfg.problem == 1
-    assert cfg.n_points == 201
-    assert cfg.k == 0.01
-    assert cfg.t_final == 2.0
+    text = '{"problem": 1, "mode": "solve", "N": 201, "k": 0.01, "T": 2}'
+    cfg = config_from_dict(json.loads(text))
+    assert cfg["mode"] == "solve"
+    assert cfg["problem"] == 1
+    assert cfg["N"] == 201
+    assert cfg["k"] == 0.01
+    assert cfg["T"] == 2.0
+    with pytest.raises(TypeError):
+        cfg["N"] = 101  # the validated config is read-only
 
 
 def test_non_halving_k_list_rejected():
@@ -38,7 +38,7 @@ def test_non_halving_k_list_rejected():
 
 def test_imaginary_y_parses():
     cfg = config_from_dict({"mode": "stability", "y": ["-20i"]})
-    assert cfg.y_values() == (complex(0.0, -20.0),)
+    assert tuple(map(parse_y_value, cfg["y"])) == (complex(0.0, -20.0),)
     assert parse_y_value("5i") == 5j
     assert parse_y_value("-2") == -2.0 + 0j
     assert parse_y_value(-6) == -6.0 + 0j
@@ -47,12 +47,12 @@ def test_imaginary_y_parses():
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown config key"):
-        parse_config('{"mode": "solve", "problem": 1, "N": 26, "k": 0.1, "T": 1, "foo": 3}')
+        config_from_dict({"mode": "solve", "problem": 1, "N": 26, "k": 0.1, "T": 1, "foo": 3})
 
 
 def test_mode_required():
     with pytest.raises(ConfigError):
-        parse_config('{"problem": 1}')
+        config_from_dict({"problem": 1})
 
 
 def test_solve_needs_exactly_one_grid_key():
@@ -110,9 +110,23 @@ INVALID_CONFIGS = [
     ({"mode": "solve", "problem": 1, "N": 201, "k": 0.01, "T": 2.0, "resolution": 64},
      "does not accept 'resolution'"),
     ({"mode": "solve", "problem": 4, "N": 41, "k": 0.01, "T": 0.1, "beta": 0.0}, "beta"),
-    # the GRE run integrates to T, which must be a step multiple
-    ({"mode": "gre-table", "problem": 1, "N": 26, "k": 0.5, "times": [1.0], "T": 1.25},
-     "integer multiple"),
+    # the GRE run integrates to the last requested time
+    ({"mode": "gre-table", "problem": 1, "N": 26, "k": 0.5, "times": [1.0], "T": 1.0},
+     "does not accept 'T'"),
+    ({"mode": "gre-table", "problem": 1, "N": 26, "k": 0.5, "times": [1.0, 1.25]},
+     "not a positive step multiple"),
+    # non-finite numbers, which JSON and --set both accept
+    ({"mode": "solve", "problem": 1, "N": 26, "k": 0.1, "T": float("inf")}, "finite"),
+    ({"mode": "solve", "problem": 1, "N": 26, "k": float("nan"), "T": 1.0}, "finite"),
+    ({"mode": "solve", "problem": 1, "N": 26, "k": 0.1, "T": float("nan")}, "finite"),
+    ({"mode": "solve", "problem": 1, "N": 26, "k": 0.1, "T": 1.0,
+      "snapshots": [float("nan")]}, "finite"),
+    ({"mode": "gre-table", "problem": 1, "N": 26, "k": 0.5, "times": [1.0, float("nan")]},
+     "finite"),
+    ({"mode": "stability", "y": ["nan"]}, "finite"),
+    ({"mode": "stability", "y": "inf"}, "finite"),
+    # T / k overflows to infinity
+    ({"mode": "solve", "problem": 1, "N": 26, "k": 0.1, "T": 1e308}, "integer multiple"),
 ]
 
 
@@ -125,8 +139,7 @@ def test_invalid_config_rejected(data, message):
 @pytest.mark.parametrize("data,_message", INVALID_CONFIGS)
 def test_main_reports_invalid_config_without_traceback(tmp_path, capsys, data, _message):
     path = _write_config(tmp_path, data)
-    assert cli.main([cli._MODES[data["mode"]][0], "--config", path,
-                     "--out", str(tmp_path / "out")]) == 2
+    assert cli.main(["--config", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert "Traceback" not in err
@@ -134,14 +147,9 @@ def test_main_reports_invalid_config_without_traceback(tmp_path, capsys, data, _
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
-def test_shipped_configs_parse_and_map_to_a_subcommand(tmp_path, path):
+def test_shipped_configs_parse_and_map_to_a_subcommand(path):
     cfg = config_from_dict(json.loads(path.read_text()))
-    assert parse_config(serialize_config(cfg)) == cfg
-    # exactly one subcommand runs the mode; the others stop at the config check
-    subcommand = cli._MODES[cfg.mode][0]
-    assert subcommand in SUBCOMMANDS
-    for other in set(SUBCOMMANDS) - {subcommand}:
-        assert cli.main([other, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert config_from_dict(json.loads(serialize_config(cfg))) == cfg
 
 
 @pytest.mark.parametrize("data", [
@@ -159,7 +167,7 @@ def test_shipped_configs_parse_and_map_to_a_subcommand(tmp_path, path):
 ])
 def test_config_roundtrip(data):
     cfg = config_from_dict(data)
-    assert parse_config(serialize_config(cfg)) == cfg
+    assert config_from_dict(json.loads(serialize_config(cfg))) == cfg
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,8 +181,8 @@ def test_apply_overrides_parses_values():
     raw = {"mode": "solve", "problem": 1, "N": 26, "k": 0.1, "T": 1.0}
     merged = apply_overrides(raw, ["k=0.05", "snapshots=0.5,1.0", "T=1"])
     cfg = config_from_dict(merged)
-    assert cfg.k == 0.05
-    assert cfg.snapshots == (0.5, 1.0)
+    assert cfg["k"] == 0.05
+    assert cfg["snapshots"] == (0.5, 1.0)
 
 
 def test_apply_overrides_requires_key_value():
@@ -294,15 +302,14 @@ def _write_config(tmp_path, data, name="cfg.json"):
 def test_main_solve_smoke(tmp_path):
     path = _write_config(tmp_path, {"mode": "solve", "problem": 4, "N": 41,
                                     "k": 0.005, "T": 0.05})
-    assert cli.main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert cli.main(["--config", path, "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "report.json").exists()
 
 
 def test_main_set_overrides(tmp_path):
     path = _write_config(tmp_path, {"mode": "solve", "problem": 4, "N": 41,
                                     "k": 0.005, "T": 0.05})
-    code = cli.main(["solve", "--config", path, "--set", "T=0.1",
-                     "--out", str(tmp_path / "out")])
+    code = cli.main(["--config", path, "--set", "T=0.1", "--out", str(tmp_path / "out")])
     assert code == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["config"]["T"] == 0.1
@@ -311,26 +318,40 @@ def test_main_set_overrides(tmp_path):
 def test_main_config_error_exit_code(tmp_path):
     path = _write_config(tmp_path, {"mode": "solve", "problem": 9, "N": 41,
                                     "k": 0.005, "T": 0.05})
-    assert cli.main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert cli.main(["--config", path, "--out", str(tmp_path / "out")]) == 2
 
 
-def test_main_subcommand_mode_mismatch(tmp_path):
-    path = _write_config(tmp_path, {"mode": "stability", "y": ["-2"]})
-    assert cli.main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+def test_main_rejects_a_subcommand(tmp_path):
+    path = _write_config(tmp_path, {"mode": "solve", "problem": 4, "N": 41,
+                                    "k": 0.005, "T": 0.05})
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["solve", "--config", path, "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_non_finite_override_is_a_config_error(tmp_path, capsys):
+    path = _write_config(tmp_path, {"mode": "solve", "problem": 4, "N": 41,
+                                    "k": 0.005, "T": 0.05})
+    assert cli.main(["--config", path, "--set", "T=Infinity",
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_main_missing_config_is_io_error(tmp_path):
-    assert cli.main(["solve", "--config", str(tmp_path / "nope.json"),
+    assert cli.main(["--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out")]) == 4
 
 
 def test_main_instability_exit_code(tmp_path):
     path = _write_config(tmp_path, {"mode": "solve", "problem": 2, "N": 32,
                                     "k": 2.0, "T": 80.0})
-    assert cli.main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    assert cli.main(["--config", path, "--out", str(tmp_path / "out")]) == 3
 
 
 def test_main_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
