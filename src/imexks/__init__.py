@@ -11,12 +11,7 @@ from .analysis import (
     self_difference_error,
     stability_scan,
 )
-from .compact_fd import (
-    BoundaryScheme,
-    Grid,
-    build_first_derivative,
-    build_second_derivative,
-)
+from .compact_fd import BoundaryScheme, Grid
 from .problems import ProblemSpec, example1_exact, make_problem
 from .stepper import (
     ImexCoefficients,
@@ -26,7 +21,6 @@ from .stepper import (
     integrate,
     prepare,
     step,
-    step_dense_reference,
 )
 from .system import KseParameters, SemiDiscreteKse, assemble
 
@@ -44,8 +38,6 @@ __all__ = [
     "StepperWorkspace",
     "amplification_factor",
     "assemble",
-    "build_first_derivative",
-    "build_second_derivative",
     "coefficients",
     "example1_exact",
     "gre",
@@ -58,6 +50,5 @@ __all__ = [
     "self_difference_error",
     "stability_scan",
     "step",
-    "step_dense_reference",
     "__version__",
 ]

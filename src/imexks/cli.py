@@ -84,9 +84,17 @@ def _float_or_list(value):
     return _floats(value) if isinstance(value, (list, tuple)) else _finite(value)
 
 
+def _y_tag(label: str) -> str:
+    """The label in the output file names: characters other than letters,
+    digits and ``+-.`` become ``_``."""
+    return "".join(ch if (ch.isalnum() or ch in "+-.") else "_" for ch in label)
+
+
 def _y_labels(value) -> Tuple[str, ...]:
     labels = tuple(str(v) for v in (value if isinstance(value, (list, tuple)) else [value]))
-    tuple(map(parse_y_value, labels))  # fail fast on malformed entries
+    values = set(map(parse_y_value, labels))  # fail fast on malformed entries
+    if len(values) < len(labels) or len(set(map(_y_tag, labels))) < len(labels):
+        raise ValueError(f"two labels name the same y or file tag in {list(labels)}")
     return labels
 
 
@@ -376,7 +384,7 @@ def _run_stability(cfg: Mapping, _spec, out: Path, report: dict):
         field_ = analysis.stability_scan(parse_y_value(label), window=window,
                                          resolution=resolution)
         elapsed = time.perf_counter() - t0
-        tag = "".join(ch if (ch.isalnum() or ch in "+-.") else "_" for ch in label)
+        tag = _y_tag(label)
         field_name = f"stability_y{tag}.csv"
         boundary_name = f"boundary_y{tag}.csv"
         analysis.write_field_csv(field_, out / field_name)

@@ -11,9 +11,9 @@ relations on both boundary kinds (:func:`transforms`):
   are polynomials in the (1, 0, 1) matrix, which DST-I diagonalizes; the
   skew B of D1 is applied by slicing (:func:`skew_difference`).
 
-The ``*_symbol`` functions return the eigenvalues on the transform's modes.
-The dense read-only matrices ``D = A^-1 B`` of the ``build_*`` functions are
-the independent reference for them.
+The ``*_symbol`` functions return the eigenvalues on the transform's modes;
+no N x N matrix is formed.  The dense ``D = A^-1 B`` lives only in the test
+suite (``tests/dense_reference.py``), as the independent oracle for them.
 
 The dropped wall terms are the ``*_walls`` matrices W: with the wall values
 u_0, u_{N-1} and the walls' derivatives of order p known, the relation at
@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-
-from . import linalg
 
 
 class BoundaryScheme(enum.Enum):
@@ -74,8 +72,8 @@ class Grid:
         return self.nodes()[1:-1]
 
 
-# Interior three-point stencils (lower, diagonal, upper) of L and M.  The
-# scale factor of M (3/h and 12/h^2) is applied by the callers.
+# Interior three-point stencils (lower, diagonal, upper) of A and B.  The
+# scale factor of B (3/h and 12/h^2) is applied by the callers.
 _D1_LHS = (1.0, 4.0, 1.0)
 _D1_RHS = (-1.0, 0.0, 1.0)
 _D2_LHS = (1.0, 10.0, 1.0)
@@ -87,25 +85,9 @@ def _freeze(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _circulant(n: int, lo: float, diag: float, hi: float) -> np.ndarray:
-    out = np.zeros((n, n))
-    idx = np.arange(n)
-    out[idx, idx] = diag
-    out[idx, (idx - 1) % n] = lo
-    out[idx, (idx + 1) % n] = hi
-    return out
-
-
-def _tridiag(n: int, lo: float, diag: float, hi: float) -> np.ndarray:
-    out = np.diag(np.full(n, float(diag)))
-    out += np.diag(np.full(n - 1, float(lo)), -1)
-    out += np.diag(np.full(n - 1, float(hi)), 1)
-    return out
-
-
-# Smallest grid the D2 builders accept on either boundary kind, and the
-# smallest Dirichlet grid `system.assemble` (and so the CLI) accepts: below
-# it the wall couplings or the interior operators have too few nodes.
+# Smallest Dirichlet grid `system.assemble` (and so the CLI) accepts, and
+# the smallest grid of the D2 wall couplings: below it the wall couplings or
+# the interior operators have too few nodes.
 MIN_OPERATOR_POINTS = 7
 
 
@@ -190,15 +172,6 @@ def transforms(grid: Grid) -> Tuple[Callable, Callable]:
     return dst1, idst1
 
 
-def _build(grid: Grid, lhs_stencil, rhs_stencil, scale: float) -> np.ndarray:
-    if grid.scheme is BoundaryScheme.PERIODIC:
-        n, band = grid.n_points, _circulant
-    else:
-        n, band = grid.n_points - 2, _tridiag
-    return _freeze(linalg.lu_solve(linalg.lu_factor(band(n, *lhs_stencil)),
-                                   band(n, *rhs_stencil) * scale))
-
-
 def _walls(grid: Grid, lhs_stencil, rhs_stencil, scale: float) -> np.ndarray:
     if grid.scheme is not BoundaryScheme.DIRICHLET:
         raise ValueError("wall couplings require a Dirichlet grid")
@@ -213,18 +186,6 @@ def _walls(grid: Grid, lhs_stencil, rhs_stencil, scale: float) -> np.ndarray:
     walls = np.outer(first, (scale * rhs_stencil[0], 0.0, -lhs_stencil[0], 0.0))
     walls += np.outer(first[::-1], (0.0, scale * rhs_stencil[2], 0.0, -lhs_stencil[2]))
     return _freeze(walls)
-
-
-def build_first_derivative(grid: Grid) -> np.ndarray:
-    """u' from u'_{i-1} + 4 u'_i + u'_{i+1} = (3/h)(u_{i+1} - u_{i-1})."""
-    _check_size(grid, 6, "first-derivative operator")
-    return _build(grid, _D1_LHS, _D1_RHS, 3.0 / grid.h)
-
-
-def build_second_derivative(grid: Grid) -> np.ndarray:
-    """u'' from u''_{i-1} + 10 u''_i + u''_{i+1} = (12/h^2)(u_{i-1} - 2u_i + u_{i+1})."""
-    _check_size(grid, MIN_OPERATOR_POINTS, "second-derivative operator")
-    return _build(grid, _D2_LHS, _D2_RHS, 12.0 / grid.h**2)
 
 
 def first_derivative_walls(grid: Grid) -> np.ndarray:

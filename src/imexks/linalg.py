@@ -1,9 +1,11 @@
 """Dense LU factorization with reuse and linear solves.
 
-Serves only the dense reference: the ``compact_fd.build_*`` operators and
-``stepper.step_dense_reference``.  The solver itself never reaches this
-module: its stage solves are diagonal in a real transform (see
-``stepper.prepare``).  LAPACK does the heavy lifting via scipy.
+Serves only the dense test oracle (``tests/dense_reference.py``); no other
+library module imports it, so ``import imexks`` does not load scipy.  The
+solver's stage solves are diagonal in a real transform (see
+``stepper.prepare``).  The module stays while the benchmark harness imports
+it at load time; it goes with the next change to the benchmark.  LAPACK does
+the heavy lifting via scipy.
 """
 
 from __future__ import annotations

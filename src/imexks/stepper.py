@@ -8,9 +8,7 @@ has a single conjugate pole pair, so for real data ``2 Re(.)`` of one solve
 suffices.  L is held as real eigenvalues on the modes of a real transform
 (``rfft`` periodic, DST-I Dirichlet), so ``2 Re(.)`` of a solve is a real
 multiplier per mode; :func:`prepare` computes them once for the time loop.
-
-A dense reference implementation of the same update, evaluated directly from
-the rational matrix functions, serves as the oracle for the transform path.
+No N x N matrix is formed or solved with.
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import linalg
-from .system import SemiDiscreteKse, dense_operators
+from .system import SemiDiscreteKse
 
 
 class InstabilityError(RuntimeError):
@@ -206,58 +203,6 @@ def step(ws: StepperWorkspace, u_n: np.ndarray, t_n: float) -> np.ndarray:
                                    + ws.w31 * (f_n - f_a - f_b + f_c))
     _check_finite(u_next, "u")
     return u_next
-
-
-_DENSE_REFERENCE_LIMIT = 512
-
-
-def step_dense_reference(sys: SemiDiscreteKse, u_n: np.ndarray, t_n: float, k: float) -> np.ndarray:
-    """One step evaluated directly from the rational matrix functions.
-
-    Builds its own dense L and D1 with the compact_fd builders, forms
-    (12 I + 6 kL + (kL)^2) and (48 I + 12 kL + (kL)^2) and solves with them
-    densely, evaluating F with the dense D1 plus the system's wall term; no
-    partial fractions and no Fourier symbols involved.  Oracle for
-    :func:`step`.
-    """
-    n = sys.state_size
-    if n > _DENSE_REFERENCE_LIMIT:
-        raise ValueError(f"dense reference limited to {_DENSE_REFERENCE_LIMIT} unknowns")
-    linear, d1 = dense_operators(sys.params, sys.grid)
-    u_n = np.asarray(u_n, dtype=float)
-    z = k * linear
-    z2 = z @ z
-    eye = np.eye(n)
-    den = linalg.lu_factor(12.0 * eye + 6.0 * z + z2)
-    den_h = linalg.lu_factor(48.0 * eye + 12.0 * z + z2)
-
-    def apply_full(num: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        return linalg.lu_solve(den, num @ vec)
-
-    def apply_half(num: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        return linalg.lu_solve(den_h, num @ vec)
-
-    def rhs(u: np.ndarray, t: float) -> np.ndarray:
-        f = -0.5 * (d1 @ (u * u))
-        return f if sys.boundary_values is None else f + sys.wall_term(t)
-
-    f_n = rhs(u_n, t_n)
-    a_n = apply_half(48.0 * eye - 12.0 * z + z2, u_n) + 24.0 * k * linalg.lu_solve(den_h, f_n)
-    f_a = rhs(a_n, t_n + k / 2)
-
-    b_n = (apply_half(48.0 * eye - 12.0 * z + z2, u_n)
-           + 24.0 * k * linalg.lu_solve(den_h, f_n)
-           + 2.0 * k * apply_half(12.0 * eye + z, f_a - f_n))
-    f_b = rhs(b_n, t_n + k / 2)
-
-    r22u = apply_full(12.0 * eye - 6.0 * z + z2, u_n)
-    p1f = 12.0 * k * linalg.lu_solve(den, f_n)
-    c_n = r22u + p1f + 2.0 * k * apply_full(6.0 * eye + z, f_b - f_n)
-    f_c = rhs(c_n, t_n + k)
-
-    return (r22u + p1f
-            + k * apply_full(6.0 * eye + z, -3.0 * f_n + 2.0 * f_a + 2.0 * f_b - f_c)
-            + 2.0 * k * apply_full(4.0 * eye + z, f_n - f_a - f_b + f_c))
 
 
 def integrate(

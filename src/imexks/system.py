@@ -17,7 +17,7 @@ relations (see compact_fd): O(N) memory, and F costs one transform pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -127,18 +127,6 @@ class SemiDiscreteKse:
         if self.boundary_values is not None:
             out[[0, -1]] = self.wall_data(t)[0]
         return out
-
-
-def dense_operators(params: KseParameters, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense L = alpha D2 + beta D2^2 and D1 from the compact_fd builders.
-
-    On both boundary kinds they are the independent reference for the
-    symbols; ``stepper.step_dense_reference`` steps with them.
-    """
-    d2 = compact_fd.build_second_derivative(grid)
-    linear = params.alpha * d2 + params.beta * (d2 @ d2)
-    linear.setflags(write=False)
-    return linear, compact_fd.build_first_derivative(grid)
 
 
 def _wall_matrix(params: KseParameters, grid: Grid, s2: np.ndarray) -> np.ndarray:

@@ -127,6 +127,9 @@ INVALID_CONFIGS = [
     ({"mode": "stability", "y": "inf"}, "finite"),
     # T / k overflows to infinity
     ({"mode": "solve", "problem": 1, "N": 26, "k": 0.1, "T": 1e308}, "integer multiple"),
+    # one scan and one pair of output files per y: a repeated y would overwrite
+    ({"mode": "stability", "y": ["-2", "-2"]}, "same y"),
+    ({"mode": "stability", "y": ["5i", "5 i"]}, "same y"),
 ]
 
 

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from dense_reference import build_first_derivative, build_second_derivative
 from imexks import linalg
 from imexks.compact_fd import (
     BoundaryScheme,
     Grid,
-    build_first_derivative,
-    build_second_derivative,
     dst1,
     first_derivative_symbol,
     first_derivative_walls,

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense_operators, step_dense_reference
 from imexks import problems, stepper
 from imexks.compact_fd import BoundaryScheme, Grid
 from imexks.stepper import (
@@ -16,9 +17,8 @@ from imexks.stepper import (
     prepare,
     scalar_amplification,
     step,
-    step_dense_reference,
 )
-from imexks.system import KseParameters, assemble, dense_operators
+from imexks.system import KseParameters, assemble
 
 SQ3 = math.sqrt(3.0)
 

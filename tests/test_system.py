@@ -4,10 +4,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import build_first_derivative, build_second_derivative, dense_operators
 from imexks import compact_fd
-from imexks.compact_fd import BoundaryScheme, Grid, build_first_derivative, build_second_derivative
+from imexks.compact_fd import BoundaryScheme, Grid
 from imexks.problems import example1_exact, example1_wall_data
-from imexks.system import KseParameters, assemble, dense_operators
+from imexks.system import KseParameters, assemble
 
 
 def periodic_system(alpha=1.0, beta=1.0, n=64, length=32 * np.pi):
