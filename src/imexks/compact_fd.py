@@ -8,8 +8,8 @@ relations on both boundary kinds (:func:`transforms`):
   ``rfft`` diagonalizes them;
 * Dirichlet grids: the relation holds at the N-2 interior nodes, with the
   terms that reach a wall node dropped.  The truncated symmetric stencils
-  are polynomials in the (1, 0, 1) matrix, which DST-I diagonalizes; the
-  skew B of D1 is applied by slicing (:func:`skew_difference`).
+  are polynomials in the (1, 0, 1) matrix, which DST-I, one phase-shifted
+  zero-padded ``rfft``, diagonalizes.
 
 The ``*_symbol`` functions return the eigenvalues on the transform's modes;
 no N x N matrix is formed.  The dense ``D = A^-1 B`` lives only in the test
@@ -101,10 +101,11 @@ def _stencil_symbol(stencil, theta: np.ndarray) -> np.ndarray:
     three-point stencil on the Fourier mode exp(i theta j), and of a truncated
     symmetric one on the sine mode sin(theta j) at a DST-I angle."""
     lo, diag, hi = stencil
-    return diag + (lo + hi) * np.cos(theta) + 1j * (hi - lo) * np.sin(theta)
+    symbol = diag + (lo + hi) * np.cos(theta)
+    return symbol if hi == lo else symbol + 1j * (hi - lo) * np.sin(theta)
 
 
-def _angles(grid: Grid) -> np.ndarray:
+def mode_angles(grid: Grid) -> np.ndarray:
     """The mode angles: the ``rfft`` frequencies 2 pi q / N (periodic) or
     the DST-I angles j pi / (m+1), j = 1 .. m, on the m = N-2 interior nodes."""
     if grid.scheme is BoundaryScheme.PERIODIC:
@@ -118,9 +119,9 @@ def first_derivative_symbol(grid: Grid) -> np.ndarray:
 
     Periodic: the eigenvalues (3/h) 2i sin(theta) / (4 + 2 cos(theta)).
     Dirichlet: those of (3/h) A^-1, (3/h) / (4 + 2 cos(theta)), since the
-    skew B is not diagonal in DST-I: D1 u = ``idst1(symbol * dst1(skew_difference(u)))``.
+    skew B is not diagonal in DST-I (the system applies it through cosine sums).
     """
-    theta = _angles(grid)
+    theta = mode_angles(grid)
     lhs = _stencil_symbol(_D1_LHS, theta).real
     if grid.scheme is BoundaryScheme.PERIODIC:
         return _freeze((3.0 / grid.h) * _stencil_symbol(_D1_RHS, theta) / lhs)
@@ -133,43 +134,30 @@ def second_derivative_symbol(grid: Grid) -> np.ndarray:
     (12/h^2) (2 cos(theta) - 2) / (10 + 2 cos(theta)); real because the
     stencils are symmetric.
     """
-    theta = _angles(grid)
+    theta = mode_angles(grid)
     return _freeze((12.0 / grid.h**2) * _stencil_symbol(_D2_RHS, theta).real
                    / _stencil_symbol(_D2_LHS, theta).real)
 
 
-def skew_difference(u: np.ndarray) -> np.ndarray:
-    """u_{i+1} - u_{i-1} at the interior nodes of a Dirichlet grid, zero walls."""
-    out = np.empty_like(u)
-    out[0], out[-1] = u[1], -u[-2]
-    np.subtract(u[2:], u[:-2], out=out[1:-1])
-    return out
-
-
-def dst1(x: np.ndarray) -> np.ndarray:
-    """DST-I along axis 0: X_j = sum_n x_n sin(pi j n / (m+1)), j, n = 1 .. m.
-
-    The imaginary part of the ``rfft`` of the odd extension [0, x, 0, -x
-    reversed] is -2 X.
-    """
-    x = np.asarray(x, dtype=float)
-    m = x.shape[0]
-    odd = np.zeros((2 * m + 2,) + x.shape[1:])
-    odd[1:m + 1] = x
-    odd[m + 2:] = -x[::-1]
-    return -0.5 * np.fft.rfft(odd, axis=0)[1:m + 1].imag
-
-
-def idst1(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`dst1`: DST-I squared is (m+1)/2 times the identity."""
-    return dst1(coeffs) * (2.0 / (len(coeffs) + 1))
+def _sine_transform(phase: np.ndarray) -> Callable:
+    """x -> Im(phase * rfft(x, 2m+2)[1:m+1]) along axis 0, for m = len(phase)."""
+    size = 2 * len(phase) + 2
+    return lambda x: (phase * np.fft.rfft(x.T, size)[..., 1:-1]).imag.T
 
 
 def transforms(grid: Grid) -> Tuple[Callable, Callable]:
-    """(forward, inverse): ``rfft``/``irfft`` (periodic) or DST-I (Dirichlet)."""
+    """(forward, inverse): ``rfft``/``irfft`` (periodic) or DST-I (Dirichlet).
+
+    DST-I, X_j = sum_n x_n sin(theta_j n) along axis 0, is
+    Im(-e^{-i theta} rfft(x, 2m+2)[1:m+1]): ``rfft(x, 2m+2)[j]`` is
+    e^{i theta_j} (C_j - i S_j), C and S the cosine and sine sums.  DST-I
+    squared is (m+1)/2 times the identity, so the inverse folds in 2/(m+1).
+    """
     if grid.scheme is BoundaryScheme.PERIODIC:
         return np.fft.rfft, functools.partial(np.fft.irfft, n=grid.n_points)
-    return dst1, idst1
+    theta = mode_angles(grid)
+    shift = -np.exp(-1j * theta)
+    return _sine_transform(shift), _sine_transform(shift * (2.0 / (len(theta) + 1)))
 
 
 def _walls(grid: Grid, lhs_stencil, rhs_stencil, scale: float) -> np.ndarray:

@@ -8,7 +8,8 @@ has a single conjugate pole pair, so for real data ``2 Re(.)`` of one solve
 suffices.  L is held as real eigenvalues on the modes of a real transform
 (``rfft`` periodic, DST-I Dirichlet), so ``2 Re(.)`` of a solve is a real
 multiplier per mode; :func:`prepare` computes them once for the time loop.
-No N x N matrix is formed or solved with.
+No N x N matrix is formed or solved with: a step costs nine real transforms,
+of u_n and, per stage, of the transport and the stage's inverse.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def prepare(sys: SemiDiscreteKse, k: float) -> StepperWorkspace:
 
 
 def _check_finite(u: np.ndarray, label: str):
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         finite = u[np.isfinite(u)]
         peak = float(np.abs(finite).max()) if finite.size else math.inf
         raise InstabilityError(f"non-finite values in stage {label}", max_abs=peak)
@@ -176,28 +177,29 @@ def step(ws: StepperWorkspace, u_n: np.ndarray, t_n: float) -> np.ndarray:
     Each stage adds to u_n the inverse transform of the stage multipliers
     times the transforms of u_n and of the earlier F's.  F is evaluated at
     t_n, t_n + k/2, t_n + k/2 and t_n + k, which is where Dirichlet wall data
-    enters.
+    enters: its transformed term is evaluated once per distinct time.
     """
     sys, k = ws.sys, ws.k
-    u_n = np.asarray(u_n, dtype=float)
+    u_n = sys.check_state(u_n)
+    wall_n, wall_half, wall_next = map(sys.transformed_wall_term, (t_n, t_n + k / 2, t_n + k))
     # overflow in a diverging run is caught by the finite checks below
     with np.errstate(over="ignore", invalid="ignore"):
         u_hat = sys.forward(u_n)
-        f_n = sys.transformed_rhs(u_n, t_n)
+        f_n = sys.stage_rhs(u_n, wall_n)
 
         r_a = ws.w1_half * u_hat + ws.omega1_half * f_n
         a_n = u_n + sys.inverse(r_a)
         _check_finite(a_n, "a")
-        f_a = sys.transformed_rhs(a_n, t_n + k / 2)
+        f_a = sys.stage_rhs(a_n, wall_half)
 
         b_n = u_n + sys.inverse(r_a + ws.omega2_half * (f_a - f_n))
         _check_finite(b_n, "b")
-        f_b = sys.transformed_rhs(b_n, t_n + k / 2)
+        f_b = sys.stage_rhs(b_n, wall_half)
 
         r_c = ws.w1 * u_hat + ws.w11 * f_n
         c_n = u_n + sys.inverse(r_c + 2.0 * ws.w21 * (f_b - f_n))
         _check_finite(c_n, "c")
-        f_c = sys.transformed_rhs(c_n, t_n + k)
+        f_c = sys.stage_rhs(c_n, wall_next)
 
         u_next = u_n + sys.inverse(r_c + ws.w21 * (2.0 * (f_a + f_b) - 3.0 * f_n - f_c)
                                    + ws.w31 * (f_n - f_a - f_b + f_c))
@@ -218,19 +220,17 @@ def integrate(
     ``t_final`` must be an integer multiple of ``k``.  The observer, when
     given, receives (t_j, u_j) for j = 0..M.
     """
+    if workspace is None:
+        workspace = prepare(sys, k)  # validates k before it divides t_final
+    if workspace.sys is not sys or workspace.k != k:
+        raise ValueError("workspace was prepared for a different system or step size")
     if not (np.isfinite(t_final) and t_final >= 0):
         raise ValueError("final time must be nonnegative")
     steps_float = t_final / k
     n_steps = int(round(steps_float))
     if abs(steps_float - n_steps) > 1e-9 * max(1.0, abs(steps_float)):
         raise ValueError(f"final time {t_final} is not an integer multiple of k = {k}")
-    if workspace is None:
-        workspace = prepare(sys, k)
-    if workspace.sys is not sys or workspace.k != k:
-        raise ValueError("workspace was prepared for a different system or step size")
-    u = np.array(u0, dtype=float, copy=True)
-    if u.shape[0] != sys.state_size:
-        raise ValueError(f"initial state has length {u.shape[0]}, expected {sys.state_size}")
+    u = sys.check_state(np.array(u0, dtype=float, copy=True))
     if observer is not None:
         observer(0.0, u)
     for j in range(n_steps):

@@ -6,10 +6,13 @@ held on the modes of the real transform that diagonalizes the compact
 relations (see compact_fd): O(N) memory, and F costs one transform pair.
 
 * periodic - every node is an unknown and the transform is ``rfft``;
-* Dirichlet - the N-2 interior nodes are the unknowns and the transform is
-  DST-I.  Wall data enters as a known affine term of F: the compact relations
-  at the first and last interior node reach the wall nodes, and the wall
-  values of u, (u^2)_x, u_xx and u_xxxx fill those terms in (see
+* Dirichlet - the N-2 = m interior nodes are the unknowns and the transform
+  is DST-I.  The DST-I of the skew difference B (U * U) of D1 is -2 sin(theta)
+  times the cosine sums Re(e^{-i theta} ``rfft(U * U, 2m+2)[1:m+1]``), so the
+  transport is the real part of one symbol times that ``rfft``.  Wall data
+  enters as a known affine term of F: the compact relations at the first and
+  last interior node reach the wall nodes, and the wall values of u,
+  (u^2)_x, u_xx and u_xxxx fill those terms in (see
   :meth:`SemiDiscreteKse.wall_term`).  Zero wall data
   (``boundary_values=None``) adds no term.
 """
@@ -43,33 +46,29 @@ class KseParameters:
 class SemiDiscreteKse:
     """U_t + L U = F(U, t) on the active unknowns.
 
-    ``linear_symbol`` and ``d1_symbol`` (see compact_fd) are L and D1 on the
-    modes of the ``forward``/``inverse`` transform pair, and with wall data
-    ``wall_matrix`` is G of :meth:`wall_term` on those modes.
+    ``linear_symbol`` is L on the modes of the ``forward``/``inverse`` pair,
+    ``transport_symbol`` takes ``rfft(U * U)`` to -1/2 D1 (U * U) on them (see
+    above) and with wall data ``wall_matrix`` is G of :meth:`wall_term`.
     """
 
     params: KseParameters
     grid: Grid
     linear_symbol: np.ndarray
-    d1_symbol: np.ndarray
+    transport_symbol: np.ndarray
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
     boundary_values: Optional[Callable] = None
     wall_matrix: Optional[np.ndarray] = None
 
     @property
-    def scheme(self) -> BoundaryScheme:
-        return self.grid.scheme
-
-    @property
     def state_size(self) -> int:
-        if self.scheme is BoundaryScheme.PERIODIC:
+        if self.grid.scheme is BoundaryScheme.PERIODIC:
             return self.grid.n_points
         return self.grid.n_points - 2
 
     def active_nodes(self) -> np.ndarray:
         """Positions of the evolving unknowns."""
-        if self.scheme is BoundaryScheme.PERIODIC:
+        if self.grid.scheme is BoundaryScheme.PERIODIC:
             return self.grid.nodes()
         return self.grid.interior_nodes()
 
@@ -77,7 +76,17 @@ class SemiDiscreteKse:
         """u, u_x, u_xx, u_xxxx (rows) at the left and right wall (columns)."""
         return self.boundary_values(np.array([self.grid.a, self.grid.b]), t)
 
-    def _transformed_wall_term(self, t: float) -> np.ndarray:
+    def check_state(self, u: np.ndarray) -> np.ndarray:
+        """``u`` as a float array; it must be 1-D of length ``state_size``."""
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.state_size,):
+            raise ValueError(f"state has shape {u.shape}, expected ({self.state_size},)")
+        return u
+
+    def transformed_wall_term(self, t: float) -> Optional[np.ndarray]:
+        """The transform of :meth:`wall_term`; None without wall data."""
+        if self.boundary_values is None:
+            return None
         data = self.wall_data(t)
         return self.wall_matrix @ np.concatenate((data.ravel(), (data[0] * data[:2]).ravel()))
 
@@ -87,32 +96,28 @@ class SemiDiscreteKse:
         w(t) is the eight wall values of u, u_x, u_xx, u_xxxx followed by u^2
         and u u_x at both walls (G: see ``_wall_matrix``).  Needs wall data.
         """
-        return self.inverse(self._transformed_wall_term(t))
+        return self.inverse(self.transformed_wall_term(t))
 
-    def _transport(self, u: np.ndarray) -> np.ndarray:
-        """The transform of -1/2 D1 (U * U)."""
-        u = np.asarray(u)
-        n = self.state_size
-        if u.shape[0] != n:
-            raise ValueError(f"state has length {u.shape[0]}, expected {n}")
+    def stage_rhs(self, u: np.ndarray, wall_hat: Optional[np.ndarray]) -> np.ndarray:
+        """The transform of F for a checked state and the transformed wall term (or None)."""
         square = u * u
-        if self.scheme is BoundaryScheme.DIRICHLET:
-            square = compact_fd.skew_difference(square)
-        return -0.5 * self.d1_symbol * self.forward(square)
+        if self.grid.scheme is BoundaryScheme.PERIODIC:
+            return self.transport_symbol * np.fft.rfft(square)
+        f = (self.transport_symbol * np.fft.rfft(square, 2 * len(u) + 2)[1:-1]).real
+        if wall_hat is not None:
+            f += wall_hat
+        return f
 
     def nonlinear_rhs(self, u: np.ndarray, t: float) -> np.ndarray:
         """F(U, t) = -1/2 D1 (U * U), plus the wall term when there is wall data."""
-        f = self.inverse(self._transport(u))
+        f = self.inverse(self.stage_rhs(self.check_state(u), None))
         if self.boundary_values is not None:
             f += self.wall_term(t)
         return f
 
     def transformed_rhs(self, u: np.ndarray, t: float) -> np.ndarray:
         """The transform of F(U, t), which the stepper works with."""
-        f = self._transport(u)
-        if self.boundary_values is not None:
-            f += self._transformed_wall_term(t)
-        return f
+        return self.stage_rhs(self.check_state(u), self.transformed_wall_term(t))
 
     def initial_state(self, initial_condition: Callable) -> np.ndarray:
         """Sample an initial-condition function onto the active unknowns."""
@@ -120,7 +125,7 @@ class SemiDiscreteKse:
 
     def full_state(self, u: np.ndarray, t: float) -> np.ndarray:
         """The state on every grid node: Dirichlet walls get the wall data at t."""
-        if self.scheme is BoundaryScheme.PERIODIC:
+        if self.grid.scheme is BoundaryScheme.PERIODIC:
             return np.array(u, dtype=float, copy=True)
         out = np.zeros(self.grid.n_points)
         out[1:-1] = u
@@ -129,7 +134,7 @@ class SemiDiscreteKse:
         return out
 
 
-def _wall_matrix(params: KseParameters, grid: Grid, s2: np.ndarray) -> np.ndarray:
+def _wall_matrix(params: KseParameters, grid: Grid, s2: np.ndarray, forward) -> np.ndarray:
     """G of :meth:`SemiDiscreteKse.wall_term` on the DST-I modes, one column
     per entry of w(t).
 
@@ -139,8 +144,8 @@ def _wall_matrix(params: KseParameters, grid: Grid, s2: np.ndarray) -> np.ndarra
     (u^2)_x = 2 u u_x, and D2 (D2 u) needs the walls' (u_xx)_xx = u_xxxx.
     On the DST-I modes D2 W2 is the D2 symbol ``s2`` times the transform of W2.
     """
-    w1 = compact_fd.dst1(compact_fd.first_derivative_walls(grid))
-    w2 = compact_fd.dst1(compact_fd.second_derivative_walls(grid))
+    w1 = forward(compact_fd.first_derivative_walls(grid))
+    w2 = forward(compact_fd.second_derivative_walls(grid))
     lifted = (params.alpha + params.beta * s2)[:, None] * w2
     g = np.zeros((grid.n_points - 2, 12))
     g[:, 0:2] = -lifted[:, 0:2]                              # u
@@ -173,14 +178,21 @@ def assemble(
     s2 = compact_fd.second_derivative_symbol(grid)
     linear = params.alpha * s2 + params.beta * s2 * s2
     linear.setflags(write=False)
+    transport = compact_fd.first_derivative_symbol(grid)
+    if grid.scheme is BoundaryScheme.PERIODIC:
+        transport = -0.5 * transport
+    else:  # -1/2 times the -2 sin(theta) of the cosine sums: see the module docstring
+        theta = compact_fd.mode_angles(grid)
+        transport = transport * np.sin(theta) * np.exp(-1j * theta)
+    transport.setflags(write=False)
     forward, inverse = compact_fd.transforms(grid)
     return SemiDiscreteKse(
         params=params,
         grid=grid,
         linear_symbol=linear,
-        d1_symbol=compact_fd.first_derivative_symbol(grid),
+        transport_symbol=transport,
         forward=forward,
         inverse=inverse,
         boundary_values=boundary_values,
-        wall_matrix=None if boundary_values is None else _wall_matrix(params, grid, s2),
+        wall_matrix=None if boundary_values is None else _wall_matrix(params, grid, s2, forward),
     )

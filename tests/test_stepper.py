@@ -31,14 +31,17 @@ class ScalarSystem:
     """1-d linear test system u' = -lam u (+ optional explicit r u); its one
     mode is the state itself, so the transform pair is the identity."""
 
-    forward = inverse = staticmethod(_identity)
+    forward = inverse = check_state = staticmethod(_identity)
 
     def __init__(self, lam, r_coeff=0.0):
         self.linear_symbol = np.array([float(lam)])
         self.r_coeff = float(r_coeff)
         self.state_size = 1
 
-    def transformed_rhs(self, u, t):
+    def transformed_wall_term(self, t):
+        return None
+
+    def stage_rhs(self, u, wall_hat):
         return self.r_coeff * u
 
 
@@ -178,7 +181,7 @@ def test_periodic_prepare_holds_only_order_n_arrays():
     sys_ = problems.make_problem(2).build_system(n)
     ws = prepare(sys_, 0.25)
     arrays = [v for obj in (ws, sys_) for v in vars(obj).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 2 + 7  # the L and D1 symbols, the seven stage multipliers
+    assert len(arrays) == 2 + 7  # the L and transport symbols, the seven stage multipliers
     assert all(a.ndim == 1 and a.size <= n for a in arrays)
 
 
@@ -453,6 +456,51 @@ def test_integrate_rejects_mismatched_workspace():
     ws = prepare(sys_, 0.1)
     with pytest.raises(ValueError):
         integrate(sys_, np.array([1.0]), 0.05, 1.0, workspace=ws)
+
+
+@pytest.mark.parametrize("k", [0.0, -0.25, math.nan, math.inf])
+def test_integrate_rejects_bad_step_before_counting_steps(k):
+    with pytest.raises(ValueError, match="time step must be positive"):
+        integrate(ScalarSystem(1.0), np.array([1.0]), k, 1.0)
+
+
+@pytest.mark.parametrize("problem_id, n_points", [(2, 32), (1, 26)])
+def test_states_that_are_not_one_dimensional_are_rejected(problem_id, n_points):
+    spec = problems.make_problem(problem_id)
+    sys_ = spec.build_system(n_points)
+    u = spec.initial_state(sys_)
+    ws = prepare(sys_, 0.25)
+    for bad in (np.stack((u, u), axis=1), u[None, :], u[:-1], np.float64(1.0)):
+        for call in (lambda: integrate(sys_, bad, 0.25, 0.5), lambda: step(ws, bad, 0.0),
+                     lambda: sys_.transformed_rhs(bad, 0.0),
+                     lambda: sys_.nonlinear_rhs(bad, 0.0)):
+            with pytest.raises(ValueError, match="state has shape"):
+                call()
+
+
+@pytest.mark.parametrize("problem_id, n_points", [(2, 64), (1, 26), (3, 41)])
+def test_a_step_costs_nine_transforms_and_three_wall_evaluations(monkeypatch, problem_id,
+                                                                  n_points):
+    # guards the per-step work: one transform of u_n, one forward and one
+    # inverse per stage, and the wall data once per distinct stage time
+    counts = {"fft": 0, "walls": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft, "fft"))
+    monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft, "fft"))
+    spec = problems.make_problem(problem_id)
+    walls = None if spec.boundary_values is None else counted(spec.boundary_values, "walls")
+    sys_ = assemble(spec.params, spec.grid(n_points), walls)
+    u0 = spec.initial_state(sys_)
+    ws = prepare(sys_, 0.125)
+    counts.update(fft=0, walls=0)
+    integrate(sys_, u0, 0.125, 1.0, workspace=ws)
+    assert counts == {"fft": 9 * 8, "walls": 0 if walls is None else 3 * 8}
 
 
 def test_integrate_observer_sees_every_step():

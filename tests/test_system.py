@@ -79,7 +79,7 @@ def test_periodic_symbol_matches_fourier_modes():
 @pytest.mark.parametrize("n", [63, 64, 256])
 def test_periodic_operators_are_fourier_symbols(n):
     sys_ = periodic_system(alpha=-1.0, beta=1.0, n=n)
-    assert sys_.linear_symbol.shape == sys_.d1_symbol.shape == (n // 2 + 1,)
+    assert sys_.linear_symbol.shape == sys_.transport_symbol.shape == (n // 2 + 1,)
     dense = dense_linear(sys_)
     eig = np.fft.fft(dense[:, 0])[: n // 2 + 1]
     assert np.abs(eig - sys_.linear_symbol).max() <= 1e-13 * np.abs(sys_.linear_symbol).max()
@@ -96,8 +96,10 @@ def test_dirichlet_assembly_is_alpha_d2_plus_beta_d4():
 
 @pytest.mark.parametrize("n", [7, 41, 200, 1601])
 def test_dst_symbols_match_the_dense_interior_operators(n):
-    # D2, L = alpha D2 + beta D2^2 and D1 (skew difference, then A^-1 on the
-    # DST-I modes) against the dense builds, applied to one random vector
+    # D2, L = alpha D2 + beta D2^2 and D1 against the dense builds, applied to
+    # one random vector; D1 as the transport applies it (-2 times the
+    # transport symbol on the zero-padded rfft, then the inverse DST-I), and
+    # the transport -1/2 D1 (u * u) itself
     grid = Grid(-1.0, 1.0, n, BoundaryScheme.DIRICHLET)
     sys_ = assemble(KseParameters(-1.3, 0.7), grid)
     linear, d1 = dense_operators(sys_.params, grid)
@@ -106,7 +108,9 @@ def test_dst_symbols_match_the_dense_interior_operators(n):
     pairs = (
         (sys_.inverse(compact_fd.second_derivative_symbol(grid) * sys_.forward(u)), d2 @ u),
         (apply_linear(sys_, u), linear @ u),
-        (sys_.inverse(sys_.d1_symbol * sys_.forward(compact_fd.skew_difference(u))), d1 @ u),
+        (sys_.inverse((-2.0 * sys_.transport_symbol * np.fft.rfft(u, 2 * n - 2)[1:-1]).real),
+         d1 @ u),
+        (sys_.nonlinear_rhs(u, 0.0), -0.5 * d1 @ (u * u)),
     )
     for applied, expected in pairs:
         assert np.abs(applied - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -205,7 +209,7 @@ def test_vector_field_conserves_mean():
 def assert_reduced(sys_):
     assert sys_.state_size == 39
     assert np.array_equal(sys_.active_nodes(), sys_.grid.nodes()[1:-1])
-    assert sys_.linear_symbol.shape == sys_.d1_symbol.shape == (39,)
+    assert sys_.linear_symbol.shape == sys_.transport_symbol.shape == (39,)
     full = sys_.full_state(np.ones(39), 0.5)
     assert full.shape == (41,) and np.all(full[1:-1] == 1.0)
     return full
