@@ -1,10 +1,10 @@
-"""Error norms, convergence orders, truncation checks and stability regions."""
+"""Error norms, convergence orders and stability regions."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -46,26 +46,6 @@ def observed_order(e_coarse: float, e_fine: float) -> float:
 def self_difference_error(u_k, u_2k) -> float:
     """E_k = ||U_k - U_2k||_inf between final states at steps k and 2k."""
     return max_norm_error(u_k, u_2k)
-
-
-def linear_truncation_check(l_value: float, r_value: float,
-                            k_list: Sequence[float]) -> List[Tuple[float, float]]:
-    """One-step errors of the scheme on u' = -L u + R u, starting from u = 1.
-
-    R is treated explicitly, L implicitly; the error is measured against the
-    exact propagator exp((R - L) k).  Consecutive halvings shrink the error
-    by about 2^5.
-    """
-    ks = list(k_list)
-    if any(k <= 0 for k in ks):
-        raise ValueError("step sizes must be positive")
-    if any(b >= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("step sizes must decrease")
-    out = []
-    for k in ks:
-        u1 = scalar_amplification(r_value * k, -l_value * k)
-        out.append((k, abs(u1 - math.exp((r_value - l_value) * k))))
-    return out
 
 
 DEFAULT_WINDOW = (-8.0, 4.0, -8.0, 8.0)
@@ -153,6 +133,8 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
     """
     y = complex(y)
     re_min, re_max, im_min, im_max = window
+    if not (np.isfinite(y) and np.isfinite(window).all()):
+        raise ValueError(f"y = {y} and the window {window} must be finite")
     if not (re_max > re_min and im_max > im_min):
         raise ValueError(f"degenerate window {window}")
     if resolution < 16:

@@ -41,11 +41,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _near_multiple(value: float, unit: float) -> bool:
-    ratio = value / unit
-    return math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio))
-
-
 def _is_halving(seq) -> bool:
     return all(abs(b - a / 2.0) <= 1e-12 * abs(a) for a, b in zip(seq, seq[1:]))
 
@@ -180,10 +175,11 @@ def _run_points(cfg: Mapping, spec: ProblemSpec) -> Tuple[int, ...]:
     if "N" in cfg:
         return (cfg["N"],) * len(_floats(cfg["k"]))
     length = spec.domain[1] - spec.domain[0]
-    if not all(_near_multiple(length, h) for h in _floats(cfg["h"])):
+    cells = [stepper.whole_steps(length, h) for h in _floats(cfg["h"])]
+    if None in cells:
         raise ConfigError(f"h = {cfg['h']} does not divide the domain length {length}")
     walls = 0 if spec.scheme is BoundaryScheme.PERIODIC else 1
-    return tuple(int(round(length / h)) + walls for h in _floats(cfg["h"]))
+    return tuple(n + walls for n in cells)
 
 
 def validate_config(cfg: Mapping):
@@ -221,16 +217,16 @@ def validate_config(cfg: Mapping):
     # converge-time also runs a reference at twice the first step
     steps = _floats(cfg["k"]) + ((2.0 * cfg["k"][0],) if mode == "converge-time" else ())
     for k_val in steps:
-        if "T" in cfg and not _near_multiple(cfg["T"], k_val):
+        if "T" in cfg and stepper.whole_steps(cfg["T"], k_val) is None:
             raise ConfigError(f"T = {cfg['T']} is not an integer multiple of k = {k_val}")
     for t_snap in cfg.get("snapshots", ()):
-        if t_snap < 0 or t_snap > cfg["T"] or not _near_multiple(t_snap, cfg["k"]):
+        if t_snap < 0 or t_snap > cfg["T"] or stepper.whole_steps(t_snap, cfg["k"]) is None:
             raise ConfigError(f"snapshot time {t_snap} is not a step multiple within [0, T]")
     times = cfg.get("times", ())
     if list(times) != sorted(set(times)):
         raise ConfigError("times must be strictly increasing")
     for t_val in times:
-        if t_val <= 0 or not _near_multiple(t_val, cfg["k"]):
+        if t_val <= 0 or stepper.whole_steps(t_val, cfg["k"]) is None:
             raise ConfigError(f"time {t_val} is not a positive step multiple")
     try:
         spec = make_problem(cfg["problem"], beta=cfg.get("beta"))

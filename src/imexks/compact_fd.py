@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -54,6 +55,8 @@ class Grid:
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.b) and self.b > self.a):
             raise ValueError(f"invalid domain [{self.a}, {self.b}]")
+        if not isinstance(self.n_points, numbers.Integral):
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 3:
             raise ValueError(f"need at least 3 grid points, got {self.n_points}")
 

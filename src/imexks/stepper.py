@@ -2,20 +2,19 @@
 
 The linear part is propagated through the (2,2)-Pade rational
 ``R(z) = (12 - 6z + z^2) / (12 + 6z + z^2)`` of exp(-z) and its half-step
-analogue ``(48 - 12z + z^2) / (48 + 12z + z^2)``.  Partial fractions turn
-every stage into one backward-Euler-type solve with kL - c: each denominator
-has a single conjugate pole pair, so for real data ``2 Re(.)`` of one solve
-suffices.  L is held as real eigenvalues on the modes of a real transform
-(``rfft`` periodic, DST-I Dirichlet), so ``2 Re(.)`` of a solve is a real
-multiplier per mode; :func:`prepare` computes them once for the time loop.
-No N x N matrix is formed or solved with: a step costs nine real transforms,
-of u_n and, per stage, of the transport and the stage's inverse.
+analogue ``(48 - 12z + z^2) / (48 + 12z + z^2)``.  L is held as real
+eigenvalues on the modes of a real transform (``rfft`` periodic, DST-I
+Dirichlet), so every stage is a per-mode division by one of those two
+quadratic denominators at z = k lambda (:func:`stage_functions`).  This is
+the paper's partial-fraction stage, one backward-Euler-type solve with
+kL - c, on the transform modes; its pole and residue constants are pinned in
+criterion 6 of ``tests/test_acceptance.py``.  No N x N matrix is formed: a
+step costs nine real transforms, of u_n and, per stage, of the transport and
+the stage's inverse.
 """
 
 from __future__ import annotations
 
-import decimal
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -36,57 +35,22 @@ class InstabilityError(RuntimeError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class ImexCoefficients:
-    """Pole and residue weights of the partial-fraction stage solves.
+def stage_functions(z):
+    """The seven stage rationals at z: (R_half, P1_half, P2_half, R, P1, P2, P3).
 
-    ``c1`` is the upper-half-plane root of z^2 + 6z + 12 (full step) and
-    ``c1_half`` the upper-half-plane root of z^2 + 12z + 48 (half step).
+    The half-step ones share the denominator 48 + 12z + z^2, the full-step
+    ones 12 + 6z + z^2; every coefficient is a small integer, so each is
+    exact in binary.  ``z`` may be an array.
     """
-
-    c1: complex
-    w1: complex
-    w11: complex
-    w21: complex
-    w31: complex
-    c1_half: complex
-    w1_half: complex
-    omega1_half: complex
-    omega2_half: complex
+    den_h = 48.0 + 12.0 * z + z * z
+    den = 12.0 + 6.0 * z + z * z
+    return ((48.0 - 12.0 * z + z * z) / den_h, 24.0 / den_h, 2.0 * (12.0 + z) / den_h,
+            (12.0 - 6.0 * z + z * z) / den, 12.0 / den, (6.0 + z) / den, 2.0 * (4.0 + z) / den)
 
 
-@functools.cache
-def coefficients() -> ImexCoefficients:
-    """The stage constants, each the residue of its rational stage function.
-
-    For a denominator q with conjugate roots, the residue of p/q at the upper
-    root c is p(c) / (c - conj(c)).  Both poles are c = a + b sqrt(3) i with
-    integer a, b and every numerator is linear, p(c) = p0 + p1 c, so the
-    residue is p1/2 - sqrt(3) (p0 + p1 a) / (6 b) i.  sqrt(3) is taken to 40
-    digits, so each constant is the double nearest its exact value.
-    """
-    ctx = decimal.Context(prec=40)
-
-    def sqrt3_times(num: int, den: int) -> float:
-        return float(ctx.divide(ctx.multiply(ctx.sqrt(3), num), den))
-
-    def residue(p0: int, p1: int, a: int, b: int) -> complex:
-        return complex(p1 / 2, -sqrt3_times(p0 + p1 * a, 6 * b))
-
-    return ImexCoefficients(
-        c1=complex(-3.0, sqrt3_times(1, 1)),
-        w1=residue(0, -12, -3, 1),        # p = -12 c
-        w11=residue(12, 0, -3, 1),        # p = 12
-        w21=residue(6, 1, -3, 1),         # p = 6 + c
-        w31=residue(8, 2, -3, 1),         # p = 2 (4 + c)
-        c1_half=complex(-6.0, sqrt3_times(2, 1)),
-        w1_half=residue(0, -24, -6, 2),   # p = -24 c
-        omega1_half=residue(24, 0, -6, 2),  # p = 24
-        omega2_half=residue(24, 2, -6, 2),  # p = 2 (12 + c)
-    )
-
-
-_POLE_GUARD = 1e-8
+# the roots of 12 + 6z + z^2 and 48 + 12z + z^2, the stage poles
+_POLES = (complex(-3.0, math.sqrt(3.0)), complex(-3.0, -math.sqrt(3.0)),
+          complex(-6.0, 2.0 * math.sqrt(3.0)), complex(-6.0, -2.0 * math.sqrt(3.0)))
 
 
 def scalar_amplification(x, y):
@@ -98,39 +62,27 @@ def scalar_amplification(x, y):
     may be an array.
     """
     z = -complex(y)
-    co = coefficients()
-    for pole in (co.c1, co.c1.conjugate(), co.c1_half, co.c1_half.conjugate()):
-        if abs(z - pole) < _POLE_GUARD:
+    for pole in _POLES:
+        if abs(z - pole) < 1e-8:
             raise ValueError(f"z = {z} is too close to the stage pole {pole}")
     x_arr = np.asarray(x, dtype=complex)
-    den = 12.0 + 6.0 * z + z * z
-    den_h = 48.0 + 12.0 * z + z * z
-    r_full = (12.0 - 6.0 * z + z * z) / den
-    p1 = 12.0 / den
-    p2 = (6.0 + z) / den
-    p3 = 2.0 * (4.0 + z) / den
-    r_half = (48.0 - 12.0 * z + z * z) / den_h
-    p1_h = 24.0 / den_h
-    p2_h = 2.0 * (12.0 + z) / den_h
+    r_half, p1_h, p2_h, r_full, p1, p2, p3 = stage_functions(z)
     a = r_half + p1_h * x_arr
     b = r_half + p1_h * x_arr + p2_h * x_arr * (a - 1.0)
     c = r_full + p1 * x_arr + 2.0 * p2 * x_arr * (b - 1.0)
     r = (r_full + p1 * x_arr + p2 * x_arr * (-3.0 + 2.0 * a + 2.0 * b - c)
          + p3 * x_arr * (1.0 - a - b + c))
-    if x_arr.ndim == 0:
-        return complex(r)
-    return r
+    return complex(r) if x_arr.ndim == 0 else r
 
 
 @dataclass(eq=False)
 class StepperWorkspace:
     """The per-mode stage multipliers for one (system, k) pair.
 
-    With g = 1 / (k lambda - c1) and g_half = 1 / (k lambda - c1_half) on each
-    transform mode, every field is 2 Re(g w) for the constant w of the same
-    name in :class:`ImexCoefficients`: the half-step constants with g_half,
-    the full-step ones with g, and the weights of F (all but ``w1`` and
-    ``w1_half``) times k.
+    With the stage functions of :func:`stage_functions` at z = k lambda on
+    each transform mode: ``w1_half = R_half - 1``, ``omega1_half = k P1_half``,
+    ``omega2_half = k P2_half``, ``w1 = R - 1``, ``w11 = k P1``,
+    ``w21 = k P2`` and ``w31 = k P3``.
     """
 
     sys: SemiDiscreteKse
@@ -145,23 +97,13 @@ class StepperWorkspace:
 
 
 def prepare(sys: SemiDiscreteKse, k: float) -> StepperWorkspace:
-    """The stage multipliers of (kL - c1) and (kL - c1_half), once per time loop."""
+    """The stage multipliers at z = k lambda, once per time loop."""
     if not (np.isfinite(k) and k > 0):
         raise ValueError("time step must be positive")
-    co = coefficients()
-    kl = k * sys.linear_symbol
-    g_half = 1.0 / (kl - co.c1_half)
-    g = 1.0 / (kl - co.c1)
-    return StepperWorkspace(
-        sys=sys, k=k,
-        w1_half=2.0 * (co.w1_half * g_half).real,
-        omega1_half=2.0 * (k * co.omega1_half * g_half).real,
-        omega2_half=2.0 * (k * co.omega2_half * g_half).real,
-        w1=2.0 * (co.w1 * g).real,
-        w11=2.0 * (k * co.w11 * g).real,
-        w21=2.0 * (k * co.w21 * g).real,
-        w31=2.0 * (k * co.w31 * g).real,
-    )
+    r_half, p1_half, p2_half, r, p1, p2, p3 = stage_functions(k * sys.linear_symbol)
+    return StepperWorkspace(sys=sys, k=k, w1_half=r_half - 1.0, omega1_half=k * p1_half,
+                            omega2_half=k * p2_half, w1=r - 1.0, w11=k * p1, w21=k * p2,
+                            w31=k * p3)
 
 
 def _check_finite(u: np.ndarray, label: str):
@@ -207,6 +149,14 @@ def step(ws: StepperWorkspace, u_n: np.ndarray, t_n: float) -> np.ndarray:
     return u_next
 
 
+def whole_steps(duration: float, k: float) -> Optional[int]:
+    """The integer n with duration = n k to within 1e-9 n, or None if there is none."""
+    ratio = duration / k
+    if math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio)):
+        return int(round(ratio))
+    return None
+
+
 def integrate(
     sys: SemiDiscreteKse,
     u0: np.ndarray,
@@ -226,9 +176,8 @@ def integrate(
         raise ValueError("workspace was prepared for a different system or step size")
     if not (np.isfinite(t_final) and t_final >= 0):
         raise ValueError("final time must be nonnegative")
-    steps_float = t_final / k
-    n_steps = int(round(steps_float))
-    if abs(steps_float - n_steps) > 1e-9 * max(1.0, abs(steps_float)):
+    n_steps = whole_steps(t_final, k)
+    if n_steps is None:
         raise ValueError(f"final time {t_final} is not an integer multiple of k = {k}")
     u = sys.check_state(np.array(u0, dtype=float, copy=True))
     if observer is not None:

@@ -115,10 +115,6 @@ class SemiDiscreteKse:
             f += self.wall_term(t)
         return f
 
-    def transformed_rhs(self, u: np.ndarray, t: float) -> np.ndarray:
-        """The transform of F(U, t), which the stepper works with."""
-        return self.stage_rhs(self.check_state(u), self.transformed_wall_term(t))
-
     def initial_state(self, initial_condition: Callable) -> np.ndarray:
         """Sample an initial-condition function onto the active unknowns."""
         return np.asarray(initial_condition(self.active_nodes()), dtype=float)

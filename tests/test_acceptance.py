@@ -132,47 +132,41 @@ def test_criterion_5_table2_gre_comparison():
 
 def test_criterion_6_coefficient_identities():
     t0 = time.perf_counter()
-    # closed forms of the stage constants, to full precision
-    pinned = stepper.ImexCoefficients(
-        c1=complex(-3.0, 1.7320508075688772935),
-        w1=complex(-6.0, -10.39230484541326376),
-        w11=complex(0.0, -3.4641016151377545871),
-        w21=complex(0.5, -0.8660254037844386467),
-        w31=complex(1.0, -0.57735026918962576452),
-        c1_half=complex(-6.0, 3.4641016151377545871),
-        w1_half=complex(-12.0, -20.784609690826527522),
-        omega1_half=complex(0.0, -3.4641016151377545870),
-        omega2_half=complex(1.0, -1.7320508075688772935),
-    )
-    derived = stepper.coefficients()
-    worst_coeff = max(abs(getattr(derived, name) - getattr(pinned, name))
-                      for name in stepper.ImexCoefficients.__dataclass_fields__)
+    # the paper's partial-fraction constants in closed form, to full precision:
+    # the upper stage poles c1, c1_half and the residue weights there
+    co = {
+        "c1": complex(-3.0, 1.7320508075688772935),
+        "w1": complex(-6.0, -10.39230484541326376),
+        "w11": complex(0.0, -3.4641016151377545871),
+        "w21": complex(0.5, -0.8660254037844386467),
+        "w31": complex(1.0, -0.57735026918962576452),
+        "c1_half": complex(-6.0, 3.4641016151377545871),
+        "w1_half": complex(-12.0, -20.784609690826527522),
+        "omega1_half": complex(0.0, -3.4641016151377545870),
+        "omega2_half": complex(1.0, -1.7320508075688772935),
+    }
     rng = np.random.default_rng(2718)
     z = rng.uniform(0, 40, 200) + 1j * rng.uniform(-40, 40, 200)
-    den = 12.0 + 6.0 * z + z * z
-    den_h = 48.0 + 12.0 * z + z * z
-    co = derived
+    r_half, p1_half, p2_half, r, p1, p2, p3 = stepper.stage_functions(z)
 
     def pair(w, c):
         # conjugate-pole sum; reduces to 2 Re(w / (z - c)) on the real axis
-        return w / (z - c) + np.conj(w) / (z - np.conj(c))
+        return co[w] / (z - co[c]) + np.conj(co[w]) / (z - np.conj(co[c]))
 
     checks = [
-        (12.0 - 6.0 * z + z * z) / den - (1.0 + pair(co.w1, co.c1)),
-        12.0 / den - pair(co.w11, co.c1),
-        (6.0 + z) / den - pair(co.w21, co.c1),
-        2.0 * (4.0 + z) / den - pair(co.w31, co.c1),
-        (48.0 - 12.0 * z + z * z) / den_h - (1.0 + pair(co.w1_half, co.c1_half)),
-        24.0 / den_h - pair(co.omega1_half, co.c1_half),
-        2.0 * (12.0 + z) / den_h - pair(co.omega2_half, co.c1_half),
-        np.array(-co.w1 / co.c1 - complex(0.0, -2.0 * math.sqrt(3.0))),
+        r - (1.0 + pair("w1", "c1")),
+        p1 - pair("w11", "c1"),
+        p2 - pair("w21", "c1"),
+        p3 - pair("w31", "c1"),
+        r_half - (1.0 + pair("w1_half", "c1_half")),
+        p1_half - pair("omega1_half", "c1_half"),
+        p2_half - pair("omega2_half", "c1_half"),
+        np.array(-co["w1"] / co["c1"] - complex(0.0, -2.0 * math.sqrt(3.0))),
     ]
     worst_identity = max(float(np.abs(c).max()) for c in checks)
     elapsed = time.perf_counter() - t0
-    ok = worst_coeff <= 1e-12 and worst_identity <= 1e-12 and elapsed < 1.0
-    _report("criterion 6", ok,
-            f"coefficient defect {worst_coeff:.2E}, identity defect {worst_identity:.2E}, "
-            f"{elapsed:.2f}s")
+    ok = worst_identity <= 1e-12 and elapsed < 1.0
+    _report("criterion 6", ok, f"identity defect {worst_identity:.2E}, {elapsed:.2f}s")
 
 
 def test_criterion_7_oracle_equivalence():
@@ -194,8 +188,9 @@ def test_criterion_7_oracle_equivalence():
 
 def test_criterion_8_linear_order_five_truncation():
     t0 = time.perf_counter()
-    results = analysis.linear_truncation_check(2.0, 1.0, [0.1, 0.05, 0.025, 0.0125])
-    errors = [e for _, e in results]
+    # one step from u = 1 of u' = -2 u + u, -2 u implicit, against exp(-k)
+    errors = [abs(analysis.amplification_factor(k, -2.0 * k) - math.exp(-k))
+              for k in (0.1, 0.05, 0.025, 0.0125)]
     ratios = [a / b for a, b in zip(errors, errors[1:])]
     elapsed = time.perf_counter() - t0
     ok = all(24.0 <= r <= 40.0 for r in ratios) and elapsed < 1.0

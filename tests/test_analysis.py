@@ -11,7 +11,6 @@ from imexks.analysis import (
     StabilityField,
     amplification_factor,
     gre,
-    linear_truncation_check,
     max_norm_error,
     observed_order,
     self_difference_error,
@@ -76,6 +75,25 @@ def test_norms_satisfy_triangle_inequality():
 
 
 # --------------------------------------------------------------- truncation
+
+
+def linear_truncation_check(l_value, r_value, k_list):
+    """One-step errors of the scheme on u' = -L u + R u, starting from u = 1.
+
+    R is treated explicitly, L implicitly; the error is measured against the
+    exact propagator exp((R - L) k).  Consecutive halvings shrink the error
+    by about 2^5.
+    """
+    ks = list(k_list)
+    if any(k <= 0 for k in ks):
+        raise ValueError("step sizes must be positive")
+    if any(b >= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("step sizes must decrease")
+    out = []
+    for k in ks:
+        u1 = scalar_amplification(r_value * k, -l_value * k)
+        out.append((k, abs(u1 - math.exp((r_value - l_value) * k))))
+    return out
 
 
 def test_linear_truncation_ratios_near_thirty_two():
@@ -200,6 +218,10 @@ def test_scan_resolution_guard():
         stability_scan(0.0, resolution=8)
     with pytest.raises(ValueError):
         stability_scan(0.0, window=(1.0, 1.0, 0.0, 2.0))
+    with pytest.raises(ValueError, match="must be finite"):
+        stability_scan(math.nan)
+    with pytest.raises(ValueError, match="must be finite"):
+        stability_scan(0.0, window=(-math.inf, 4.0, -8.0, 8.0))
 
 
 def test_boundary_polylines_are_chained():

@@ -65,6 +65,9 @@ def test_grid_rejects_bad_domain():
         Grid(1.0, 0.0, 16, BoundaryScheme.PERIODIC)
     with pytest.raises(ValueError):
         Grid(0.0, 1.0, 2, BoundaryScheme.DIRICHLET)
+    with pytest.raises(ValueError, match="must be an integer"):
+        Grid(0.0, 1.0, 10.5, BoundaryScheme.PERIODIC)
+    assert Grid(0.0, 1.0, np.int64(10), BoundaryScheme.PERIODIC).h == 0.1
 
 
 def test_minimum_sizes_enforced():

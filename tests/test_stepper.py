@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -10,9 +11,7 @@ from dense_reference import dense_operators, step_dense_reference
 from imexks import problems, stepper
 from imexks.compact_fd import BoundaryScheme, Grid
 from imexks.stepper import (
-    ImexCoefficients,
     InstabilityError,
-    coefficients,
     integrate,
     prepare,
     scalar_amplification,
@@ -49,96 +48,46 @@ def r22(z):
     return (12.0 - 6.0 * z + z * z) / (12.0 + 6.0 * z + z * z)
 
 
-# ------------------------------------------------------------ coefficients
+# ------------------------------------------------------- stage functions
 
-
-def test_stage_constants_match_closed_forms():
-    co = coefficients()
-    assert co.c1 == pytest.approx(complex(-3.0, SQ3), abs=1e-15)
-    assert co.c1_half == pytest.approx(complex(-6.0, 2 * SQ3), abs=1e-15)
-    assert co.w1 == pytest.approx(complex(-6.0, -6.0 * SQ3), abs=1e-13)
-    assert co.w11 == pytest.approx(complex(0.0, -2.0 * SQ3), abs=1e-14)
-    assert co.w21 == pytest.approx(complex(0.5, -SQ3 / 2.0), abs=1e-15)
-    assert co.w31 == pytest.approx(complex(1.0, -1.0 / SQ3), abs=1e-15)
-    assert co.w1_half == pytest.approx(complex(-12.0, -12.0 * SQ3), abs=1e-13)
-    assert co.omega1_half == pytest.approx(complex(0.0, -2.0 * SQ3), abs=1e-14)
-    assert co.omega2_half == pytest.approx(complex(1.0, -SQ3), abs=1e-15)
-
-
-# the closed forms of the constants, written out to full precision
-PINNED = ImexCoefficients(
-    c1=complex(-3.0, 1.7320508075688772935),
-    w1=complex(-6.0, -10.39230484541326376),
-    w11=complex(0.0, -3.4641016151377545871),
-    w21=complex(0.5, -0.8660254037844386467),
-    w31=complex(1.0, -0.57735026918962576452),
-    c1_half=complex(-6.0, 3.4641016151377545871),
-    w1_half=complex(-12.0, -20.784609690826527522),
-    omega1_half=complex(0.0, -3.4641016151377545870),
-    omega2_half=complex(1.0, -1.7320508075688772935),
-)
-
-
-def test_derived_coefficients_match_stored():
-    # the residues are the doubles nearest the closed forms, not just close:
-    # a last-bit change moves the roundoff-level E_k of the finest table steps
-    derived = coefficients()
-    for name in ImexCoefficients.__dataclass_fields__:
-        assert getattr(derived, name) == getattr(PINNED, name), name
+# the paper's partial-fraction constants in closed form: the upper stage poles
+# and the residue weights of the stage rationals there
+POLE, POLE_HALF = complex(-3.0, SQ3), complex(-6.0, 2.0 * SQ3)
+RESIDUES = {
+    "w1": complex(-6.0, -6.0 * SQ3), "w11": complex(0.0, -2.0 * SQ3),
+    "w21": complex(0.5, -SQ3 / 2.0), "w31": complex(1.0, -1.0 / SQ3),
+    "w1_half": complex(-12.0, -12.0 * SQ3), "omega1_half": complex(0.0, -2.0 * SQ3),
+    "omega2_half": complex(1.0, -SQ3),
+}
 
 
 def test_poles_are_roots_of_stage_denominators():
-    co = coefficients()
-    assert abs(co.c1**2 + 6 * co.c1 + 12) <= 1e-12
-    assert abs(co.c1_half**2 + 12 * co.c1_half + 48) <= 1e-12
-    assert co.c1.imag > 0 and co.c1_half.imag > 0
+    # the guarded poles are where the stage functions blow up: P1 of the
+    # full step at +-POLE, P1_half at +-POLE_HALF (sampled 1e-7 away)
+    for pole, index in ((POLE, 4), (POLE.conjugate(), 4), (POLE_HALF, 1),
+                        (POLE_HALF.conjugate(), 1)):
+        assert abs(stepper.stage_functions(pole + 1e-7)[index]) > 1e6
+        with pytest.raises(ValueError):
+            scalar_amplification(0.5, -pole)
 
 
 def test_partial_fraction_identities_on_real_axis():
-    # for real z the conjugate-pole sum collapses to 2 Re(w / (z - c))
-    co = coefficients()
+    # for real z = k lam each multiplier is 2 Re(w / (z - c)) of the paper's
+    # residue w and pole c, times k for the weights of F
+    k = 0.5
     z = np.linspace(0.0, 30.0, 200)
-    den = 12.0 + 6.0 * z + z * z
-    den_h = 48.0 + 12.0 * z + z * z
-    pairs = [
-        ((12.0 - 6.0 * z + z * z) / den, 1.0 + 2.0 * (co.w1 / (z - co.c1)).real),
-        (12.0 / den, 2.0 * (co.w11 / (z - co.c1)).real),
-        ((6.0 + z) / den, 2.0 * (co.w21 / (z - co.c1)).real),
-        (2.0 * (4.0 + z) / den, 2.0 * (co.w31 / (z - co.c1)).real),
-        ((48.0 - 12.0 * z + z * z) / den_h, 1.0 + 2.0 * (co.w1_half / (z - co.c1_half)).real),
-        (24.0 / den_h, 2.0 * (co.omega1_half / (z - co.c1_half)).real),
-        (2.0 * (12.0 + z) / den_h, 2.0 * (co.omega2_half / (z - co.c1_half)).real),
-    ]
-    for direct, pf in pairs:
-        assert np.abs(direct - pf).max() <= 1e-12
-
-
-def test_partial_fraction_identities_in_complex_plane():
-    co = coefficients()
-    rng = np.random.default_rng(123)
-    z = rng.uniform(0, 30, 200) + 1j * rng.uniform(-30, 30, 200)
-    den = 12.0 + 6.0 * z + z * z
-    den_h = 48.0 + 12.0 * z + z * z
-
-    def pair(w, c):
-        return w / (z - c) + np.conj(w) / (z - np.conj(c))
-
-    cases = [
-        ((12.0 - 6.0 * z + z * z) / den, 1.0 + pair(co.w1, co.c1)),
-        (12.0 / den, pair(co.w11, co.c1)),
-        ((6.0 + z) / den, pair(co.w21, co.c1)),
-        (2.0 * (4.0 + z) / den, pair(co.w31, co.c1)),
-        ((48.0 - 12.0 * z + z * z) / den_h, 1.0 + pair(co.w1_half, co.c1_half)),
-        (24.0 / den_h, pair(co.omega1_half, co.c1_half)),
-        (2.0 * (12.0 + z) / den_h, pair(co.omega2_half, co.c1_half)),
-    ]
-    for direct, pf in cases:
-        assert np.abs(direct - pf).max() <= 1e-12
+    ws = prepare(types.SimpleNamespace(linear_symbol=z / k), k)
+    for name, w in RESIDUES.items():
+        pole = POLE_HALF if name.endswith("half") else POLE
+        scale = 1.0 if name in ("w1", "w1_half") else k
+        assert np.abs(getattr(ws, name) - 2.0 * scale * (w / (z - pole)).real).max() <= 1e-12, name
 
 
 def test_mean_conservation_identity():
-    co = coefficients()
-    assert abs(-co.w1 / co.c1 - complex(0.0, -2.0 * SQ3)) <= 1e-13
+    # -w1 / c1 is imaginary, so 2 Re(w1 / (0 - c1)) = R(0) - 1 vanishes: the
+    # zero mode (lam = 0) passes the linear stages unchanged
+    ws = prepare(ScalarSystem(0.0), 0.25)
+    assert ws.w1[0] == 0.0 and ws.w1_half[0] == 0.0
 
 
 # ---------------------------------------------------------------- prepare
@@ -449,6 +398,8 @@ def test_integrate_rejects_non_integer_step_count():
     sys_ = ScalarSystem(1.0)
     with pytest.raises(ValueError):
         integrate(sys_, np.array([1.0]), 0.3, 1.0)
+    with pytest.raises(ValueError, match="not an integer multiple"):
+        integrate(sys_, np.array([1.0]), 0.1, 1e308)  # t_final / k overflows to inf
 
 
 def test_integrate_rejects_mismatched_workspace():
@@ -472,7 +423,6 @@ def test_states_that_are_not_one_dimensional_are_rejected(problem_id, n_points):
     ws = prepare(sys_, 0.25)
     for bad in (np.stack((u, u), axis=1), u[None, :], u[:-1], np.float64(1.0)):
         for call in (lambda: integrate(sys_, bad, 0.25, 0.5), lambda: step(ws, bad, 0.0),
-                     lambda: sys_.transformed_rhs(bad, 0.0),
                      lambda: sys_.nonlinear_rhs(bad, 0.0)):
             with pytest.raises(ValueError, match="state has shape"):
                 call()
@@ -541,6 +491,20 @@ def test_example3_self_difference_matches_expected_scale():
     u_8 = integrate(sys_, u0, 0.01 / 8, 1.0)
     e_k = np.abs(u_16 - u_8).max()
     assert e_k == pytest.approx(8.613e-12, rel=0.5)
+
+
+def test_example3_is_fourth_order_in_time_past_the_stiff_start():
+    # from t = 0 the initial stiff transient lowers the orders of this ladder
+    # to 4.21, 3.26, 2.92, 3.25 (the Pade factor has R(inf) = 1, so it does not
+    # damp stiff modes).  From u(0.2), reached with a small step, they are 3.69,
+    # 3.85, 3.93, 3.94
+    spec = problems.make_problem(3)
+    sys_ = spec.build_system(201)
+    u_start = integrate(sys_, spec.initial_state(sys_), 1e-4, 0.2)
+    finals = [integrate(sys_, u_start, 0.2 / 2**j, 1.8) for j in range(6)]  # to T = 2
+    e_k = [np.abs(fine - coarse).max() for coarse, fine in zip(finals, finals[1:])]
+    orders = np.log2(np.array(e_k[:-1]) / np.array(e_k[1:]))
+    assert np.all(orders >= 3.5), orders
 
 
 # ---------------------------------------------------------- scalar analysis
