@@ -23,7 +23,6 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from . import analysis, stepper
-from .compact_fd import BoundaryScheme
 from .problems import ProblemSpec, make_problem
 from .stepper import InstabilityError
 
@@ -178,8 +177,7 @@ def _run_points(cfg: Mapping, spec: ProblemSpec) -> Tuple[int, ...]:
     cells = [stepper.whole_steps(length, h) for h in _floats(cfg["h"])]
     if None in cells:
         raise ConfigError(f"h = {cfg['h']} does not divide the domain length {length}")
-    walls = 0 if spec.scheme is BoundaryScheme.PERIODIC else 1
-    return tuple(n + walls for n in cells)
+    return tuple(n + spec.scheme.walls for n in cells)
 
 
 def validate_config(cfg: Mapping):

@@ -11,15 +11,19 @@ relations on both boundary kinds (:func:`transforms`):
   are polynomials in the (1, 0, 1) matrix, which DST-I, one phase-shifted
   zero-padded ``rfft``, diagonalizes.
 
-The ``*_symbol`` functions return the eigenvalues on the transform's modes;
-no N x N matrix is formed.  The dense ``D = A^-1 B`` lives only in the test
-suite (``tests/dense_reference.py``), as the independent oracle for them.
+What differs between the two kinds is decided here: the wall count
+:attr:`BoundaryScheme.walls` and the transforms.  The ``*_symbol``
+functions return the eigenvalues on the transform's modes, and
+:func:`transforms` also builds the transport x -> (transform of
+-1/2 D1 x); no N x N matrix is formed.  The dense ``D = A^-1 B`` lives only
+in the test suite (``tests/dense_reference.py``), as the independent oracle
+for them.
 
-The dropped wall terms are the ``*_walls`` matrices W: with the wall values
-u_0, u_{N-1} and the walls' derivatives of order p known, the relation at
-every interior node, the first and the last included, reads
-``u^(p) = D u + W (u_0, u_{N-1}, u^(p)_0, u^(p)_{N-1})``.  Zero wall data
-makes the term vanish.
+The dropped wall terms are the ``*_walls`` couplings W, given on the DST-I
+modes: with the wall values u_0, u_{N-1} and the walls' derivatives of order
+p known, the relation at every interior node, the first and the last
+included, reads ``u^(p) = D u + W (u_0, u_{N-1}, u^(p)_0, u^(p)_{N-1})``.
+Zero wall data makes the term vanish.
 """
 
 from __future__ import annotations
@@ -34,8 +38,15 @@ import numpy as np
 
 
 class BoundaryScheme(enum.Enum):
+    """How a grid ends: ``walls`` wall nodes at each end carry given data,
+    the rest are the unknowns."""
+
     PERIODIC = "periodic"
     DIRICHLET = "dirichlet"
+
+    @property
+    def walls(self) -> int:
+        return 0 if self is BoundaryScheme.PERIODIC else 1
 
 
 @dataclass(frozen=True)
@@ -53,6 +64,8 @@ class Grid:
     scheme: BoundaryScheme
 
     def __post_init__(self):
+        if not isinstance(self.scheme, BoundaryScheme):
+            raise ValueError(f"scheme must be a BoundaryScheme, got {self.scheme!r}")
         if not (np.isfinite(self.a) and np.isfinite(self.b) and self.b > self.a):
             raise ValueError(f"invalid domain [{self.a}, {self.b}]")
         if not isinstance(self.n_points, numbers.Integral):
@@ -62,17 +75,10 @@ class Grid:
 
     @property
     def h(self) -> float:
-        if self.scheme is BoundaryScheme.PERIODIC:
-            return (self.b - self.a) / self.n_points
-        return (self.b - self.a) / (self.n_points - 1)
+        return (self.b - self.a) / (self.n_points - self.scheme.walls)
 
     def nodes(self) -> np.ndarray:
         return self.a + self.h * np.arange(self.n_points)
-
-    def interior_nodes(self) -> np.ndarray:
-        if self.scheme is not BoundaryScheme.DIRICHLET:
-            raise ValueError("interior nodes are only defined for Dirichlet grids")
-        return self.nodes()[1:-1]
 
 
 # Interior three-point stencils (lower, diagonal, upper) of A and B.  The
@@ -88,15 +94,11 @@ def _freeze(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-# Smallest Dirichlet grid `system.assemble` (and so the CLI) accepts, and
-# the smallest grid of the D2 wall couplings: below it the wall couplings or
-# the interior operators have too few nodes.
+# Smallest Dirichlet grid `system.assemble` (and so the CLI) accepts: D4 =
+# D2 D2 obeys the five-point relation A^2 D4 u = B^2 u, and 7 nodes is the
+# fewest on which that relation reaches no wall node at some interior node.
+# The operators on the transform modes themselves are defined on any grid.
 MIN_OPERATOR_POINTS = 7
-
-
-def _check_size(grid: Grid, minimum: int, what: str):
-    if grid.n_points < minimum:
-        raise ValueError(f"{what} needs at least {minimum} points, grid has {grid.n_points}")
 
 
 def _stencil_symbol(stencil, theta: np.ndarray) -> np.ndarray:
@@ -109,26 +111,25 @@ def _stencil_symbol(stencil, theta: np.ndarray) -> np.ndarray:
 
 
 def mode_angles(grid: Grid) -> np.ndarray:
-    """The mode angles: the ``rfft`` frequencies 2 pi q / N (periodic) or
-    the DST-I angles j pi / (m+1), j = 1 .. m, on the m = N-2 interior nodes."""
-    if grid.scheme is BoundaryScheme.PERIODIC:
-        return 2.0 * np.pi * np.fft.rfftfreq(grid.n_points)
-    m = grid.n_points - 2
-    return np.pi * np.arange(1, m + 1) / (m + 1)
+    """The mode angles 2 pi q / P of an ``rfft`` of length P: every frequency
+    of the N nodes (periodic, P = N), or q = 1 .. m of the odd extension of
+    the m = N-2 interior nodes (Dirichlet, P = 2m+2), the DST-I angles
+    q pi / (m+1)."""
+    walls = grid.scheme.walls
+    period = (1 + walls) * (grid.n_points - walls)
+    return 2.0 * np.pi * np.fft.rfftfreq(period)[walls:period // 2 + 1 - walls]
 
 
 def first_derivative_symbol(grid: Grid) -> np.ndarray:
-    """The compact D1 on the transform modes.
+    """The compact D1 on the transform modes, (3/h) 2i sin(theta) / (4 + 2 cos(theta)).
 
-    Periodic: the eigenvalues (3/h) 2i sin(theta) / (4 + 2 cos(theta)).
-    Dirichlet: those of (3/h) A^-1, (3/h) / (4 + 2 cos(theta)), since the
-    skew B is not diagonal in DST-I (the system applies it through cosine sums).
+    On Dirichlet grids the skew B takes sines to cosines, so D1 is not
+    diagonal in DST-I: the DST-I of D1 x is i times this symbol times the
+    cosine sums of x (see :func:`transforms`).
     """
     theta = mode_angles(grid)
-    lhs = _stencil_symbol(_D1_LHS, theta).real
-    if grid.scheme is BoundaryScheme.PERIODIC:
-        return _freeze((3.0 / grid.h) * _stencil_symbol(_D1_RHS, theta) / lhs)
-    return _freeze((3.0 / grid.h) / lhs)
+    return _freeze((3.0 / grid.h) * _stencil_symbol(_D1_RHS, theta)
+                   / _stencil_symbol(_D1_LHS, theta).real)
 
 
 def second_derivative_symbol(grid: Grid) -> np.ndarray:
@@ -143,49 +144,54 @@ def second_derivative_symbol(grid: Grid) -> np.ndarray:
 
 
 def _sine_transform(phase: np.ndarray) -> Callable:
-    """x -> Im(phase * rfft(x, 2m+2)[1:m+1]) along axis 0, for m = len(phase)."""
+    """x -> Im(phase * rfft(x, 2m+2)[1:m+1]) for m = len(phase)."""
     size = 2 * len(phase) + 2
-    return lambda x: (phase * np.fft.rfft(x.T, size)[..., 1:-1]).imag.T
+    return lambda x: (phase * np.fft.rfft(x, size)[1:-1]).imag
 
 
-def transforms(grid: Grid) -> Tuple[Callable, Callable]:
-    """(forward, inverse): ``rfft``/``irfft`` (periodic) or DST-I (Dirichlet).
+def transforms(grid: Grid) -> Tuple[Callable, Callable, Callable]:
+    """(forward, inverse, transport) on 1-D states.
 
-    DST-I, X_j = sum_n x_n sin(theta_j n) along axis 0, is
-    Im(-e^{-i theta} rfft(x, 2m+2)[1:m+1]): ``rfft(x, 2m+2)[j]`` is
-    e^{i theta_j} (C_j - i S_j), C and S the cosine and sine sums.  DST-I
-    squared is (m+1)/2 times the identity, so the inverse folds in 2/(m+1).
+    forward/inverse are ``rfft``/``irfft`` (periodic) or DST-I (Dirichlet), and
+    transport takes x to the forward transform of -1/2 D1 x.
+
+    DST-I, X_j = sum_n x_n sin(theta_j n), is Im(-e^{-i theta} rfft(x, 2m+2)[1:m+1]):
+    ``rfft(x, 2m+2)[j]`` is e^{i theta_j} (C_j - i S_j), C and S the cosine and
+    sine sums.  DST-I squared is (m+1)/2 times the identity, so the inverse
+    folds in 2/(m+1).  The DST-I of the skew difference B x is -2 sin(theta) C,
+    so that of D1 x is i s C for the D1 symbol s, and the transport is the
+    same Im(...) with the phase times -s/2.
     """
-    if grid.scheme is BoundaryScheme.PERIODIC:
-        return np.fft.rfft, functools.partial(np.fft.irfft, n=grid.n_points)
-    theta = mode_angles(grid)
-    shift = -np.exp(-1j * theta)
-    return _sine_transform(shift), _sine_transform(shift * (2.0 / (len(theta) + 1)))
+    transport = -0.5 * first_derivative_symbol(grid)
+    if not grid.scheme.walls:
+        return (np.fft.rfft, functools.partial(np.fft.irfft, n=grid.n_points),
+                lambda x: transport * np.fft.rfft(x))
+    shift = -np.exp(-1j * mode_angles(grid))
+    return (_sine_transform(shift), _sine_transform(shift * (2.0 / (len(shift) + 1))),
+            _sine_transform(shift * transport))
 
 
 def _walls(grid: Grid, lhs_stencil, rhs_stencil, scale: float) -> np.ndarray:
-    if grid.scheme is not BoundaryScheme.DIRICHLET:
+    if not grid.scheme.walls:
         raise ValueError("wall couplings require a Dirichlet grid")
     # A wall node enters the relation at the first (last) interior node, and so
-    # the interior through the first (last) column of A^-1.  For A = (1, d, 1)
-    # that column is x_i ~ r^i - r^(2m-i) (x_m = 0, |r| < 1); the last reversed.
-    m, d = grid.n_points - 2, lhs_stencil[1]
-    r = (np.sqrt(d * d - 4.0) - d) / 2.0
-    i = np.arange(m + 1)
-    x = r**i - r**(2 * m - i)
-    first = x[:m] / (d * x[0] + x[1])
+    # the interior through the first (last) column of A^-1.  DST-I takes e_1 to
+    # sin(theta_j), e_m to (-1)^(j+1) sin(theta_j), and A^-1 to 1 / A(theta).
+    theta = mode_angles(grid)
+    first = np.sin(theta) / _stencil_symbol(lhs_stencil, theta)
+    last = first * (-1.0) ** np.arange(len(theta))
     walls = np.outer(first, (scale * rhs_stencil[0], 0.0, -lhs_stencil[0], 0.0))
-    walls += np.outer(first[::-1], (0.0, scale * rhs_stencil[2], 0.0, -lhs_stencil[2]))
+    walls += np.outer(last, (0.0, scale * rhs_stencil[2], 0.0, -lhs_stencil[2]))
     return _freeze(walls)
 
 
 def first_derivative_walls(grid: Grid) -> np.ndarray:
-    """The (N-2) x 4 wall coupling of the Dirichlet D1 on (u_0, u_{N-1}, u'_0, u'_{N-1})."""
-    _check_size(grid, 6, "first-derivative operator")
+    """The (N-2) x 4 wall coupling of the Dirichlet D1 on (u_0, u_{N-1}, u'_0, u'_{N-1}),
+    on the DST-I modes."""
     return _walls(grid, _D1_LHS, _D1_RHS, 3.0 / grid.h)
 
 
 def second_derivative_walls(grid: Grid) -> np.ndarray:
-    """The (N-2) x 4 wall coupling of the Dirichlet D2 on (u_0, u_{N-1}, u''_0, u''_{N-1})."""
-    _check_size(grid, MIN_OPERATOR_POINTS, "second-derivative operator")
+    """The (N-2) x 4 wall coupling of the Dirichlet D2 on (u_0, u_{N-1}, u''_0, u''_{N-1}),
+    on the DST-I modes."""
     return _walls(grid, _D2_LHS, _D2_RHS, 12.0 / grid.h**2)

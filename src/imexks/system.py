@@ -3,18 +3,16 @@
 ``L = alpha D2 + beta D4`` collects the stiff linear terms and the quadratic
 transport enters explicitly through ``F(U) = -1/2 D1 (U * U)``.  Both are
 held on the modes of the real transform that diagonalizes the compact
-relations (see compact_fd): O(N) memory, and F costs one transform pair.
+relations: ``rfft`` with every node an unknown (periodic), or DST-I on the
+N-2 interior nodes (Dirichlet).  ``compact_fd`` builds the transform pair and
+the transport beside it, so one code path serves both boundary kinds: O(N)
+memory, and F costs one transform pair.
 
-* periodic - every node is an unknown and the transform is ``rfft``;
-* Dirichlet - the N-2 = m interior nodes are the unknowns and the transform
-  is DST-I.  The DST-I of the skew difference B (U * U) of D1 is -2 sin(theta)
-  times the cosine sums Re(e^{-i theta} ``rfft(U * U, 2m+2)[1:m+1]``), so the
-  transport is the real part of one symbol times that ``rfft``.  Wall data
-  enters as a known affine term of F: the compact relations at the first and
-  last interior node reach the wall nodes, and the wall values of u,
-  (u^2)_x, u_xx and u_xxxx fill those terms in (see
-  :meth:`SemiDiscreteKse.wall_term`).  Zero wall data
-  (``boundary_values=None``) adds no term.
+Dirichlet wall data enters as a known affine term of F: the compact
+relations at the first and last interior node reach the wall nodes, and the
+wall values of u, (u^2)_x, u_xx and u_xxxx fill those terms in (see
+:meth:`SemiDiscreteKse.transformed_wall_term`).  Zero wall data
+(``boundary_values=None``) adds no term.
 """
 
 from __future__ import annotations
@@ -47,30 +45,31 @@ class SemiDiscreteKse:
     """U_t + L U = F(U, t) on the active unknowns.
 
     ``linear_symbol`` is L on the modes of the ``forward``/``inverse`` pair,
-    ``transport_symbol`` takes ``rfft(U * U)`` to -1/2 D1 (U * U) on them (see
-    above) and with wall data ``wall_matrix`` is G of :meth:`wall_term`.
+    ``transport`` takes U * U to the transform of -1/2 D1 (U * U), and with
+    wall data ``wall_matrix`` is G of :meth:`transformed_wall_term`.
     """
 
     params: KseParameters
     grid: Grid
     linear_symbol: np.ndarray
-    transport_symbol: np.ndarray
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
+    transport: Callable[[np.ndarray], np.ndarray]
     boundary_values: Optional[Callable] = None
     wall_matrix: Optional[np.ndarray] = None
 
     @property
     def state_size(self) -> int:
-        if self.grid.scheme is BoundaryScheme.PERIODIC:
-            return self.grid.n_points
-        return self.grid.n_points - 2
+        return self.grid.n_points - 2 * self.grid.scheme.walls
+
+    @property
+    def _active(self) -> slice:
+        walls = self.grid.scheme.walls
+        return slice(walls, self.grid.n_points - walls)
 
     def active_nodes(self) -> np.ndarray:
-        """Positions of the evolving unknowns."""
-        if self.grid.scheme is BoundaryScheme.PERIODIC:
-            return self.grid.nodes()
-        return self.grid.interior_nodes()
+        """Positions of the evolving unknowns: every node but the walls."""
+        return self.grid.nodes()[self._active]
 
     def wall_data(self, t: float) -> np.ndarray:
         """u, u_x, u_xx, u_xxxx (rows) at the left and right wall (columns)."""
@@ -84,36 +83,26 @@ class SemiDiscreteKse:
         return u
 
     def transformed_wall_term(self, t: float) -> Optional[np.ndarray]:
-        """The transform of :meth:`wall_term`; None without wall data."""
+        """G w(t) on the DST-I modes: what the wall data adds to F; None without wall data.
+
+        w(t) is the eight wall values of u, u_x, u_xx, u_xxxx followed by u^2
+        and u u_x at both walls (G: see ``_wall_matrix``).
+        """
         if self.boundary_values is None:
             return None
         data = self.wall_data(t)
         return self.wall_matrix @ np.concatenate((data.ravel(), (data[0] * data[:2]).ravel()))
 
-    def wall_term(self, t: float) -> np.ndarray:
-        """G w(t): what the wall data adds to F at the interior nodes.
-
-        w(t) is the eight wall values of u, u_x, u_xx, u_xxxx followed by u^2
-        and u u_x at both walls (G: see ``_wall_matrix``).  Needs wall data.
-        """
-        return self.inverse(self.transformed_wall_term(t))
-
     def stage_rhs(self, u: np.ndarray, wall_hat: Optional[np.ndarray]) -> np.ndarray:
         """The transform of F for a checked state and the transformed wall term (or None)."""
-        square = u * u
-        if self.grid.scheme is BoundaryScheme.PERIODIC:
-            return self.transport_symbol * np.fft.rfft(square)
-        f = (self.transport_symbol * np.fft.rfft(square, 2 * len(u) + 2)[1:-1]).real
+        f = self.transport(u * u)
         if wall_hat is not None:
             f += wall_hat
         return f
 
     def nonlinear_rhs(self, u: np.ndarray, t: float) -> np.ndarray:
         """F(U, t) = -1/2 D1 (U * U), plus the wall term when there is wall data."""
-        f = self.inverse(self.stage_rhs(self.check_state(u), None))
-        if self.boundary_values is not None:
-            f += self.wall_term(t)
-        return f
+        return self.inverse(self.stage_rhs(self.check_state(u), self.transformed_wall_term(t)))
 
     def initial_state(self, initial_condition: Callable) -> np.ndarray:
         """Sample an initial-condition function onto the active unknowns."""
@@ -121,29 +110,27 @@ class SemiDiscreteKse:
 
     def full_state(self, u: np.ndarray, t: float) -> np.ndarray:
         """The state on every grid node: Dirichlet walls get the wall data at t."""
-        if self.grid.scheme is BoundaryScheme.PERIODIC:
-            return np.array(u, dtype=float, copy=True)
         out = np.zeros(self.grid.n_points)
-        out[1:-1] = u
+        out[self._active] = self.check_state(u)
         if self.boundary_values is not None:
             out[[0, -1]] = self.wall_data(t)[0]
         return out
 
 
-def _wall_matrix(params: KseParameters, grid: Grid, s2: np.ndarray, forward) -> np.ndarray:
-    """G of :meth:`SemiDiscreteKse.wall_term` on the DST-I modes, one column
-    per entry of w(t).
+def _wall_matrix(params: KseParameters, grid: Grid, s2: np.ndarray) -> np.ndarray:
+    """G of :meth:`SemiDiscreteKse.transformed_wall_term` on the DST-I modes,
+    one column per entry of w(t).
 
-    With W1, W2 the wall couplings of D1 and D2 (see compact_fd), the wall
-    terms of -L u + F(u) are -1/2 W1 (u^2, (u^2)_x) - beta W2 (u_xx, u_xxxx)
-    - (alpha W2 + beta D2 W2) (u, u_xx), each pair given at both walls:
-    (u^2)_x = 2 u u_x, and D2 (D2 u) needs the walls' (u_xx)_xx = u_xxxx.
-    On the DST-I modes D2 W2 is the D2 symbol ``s2`` times the transform of W2.
+    With W1, W2 the wall couplings of D1 and D2, DST-I symbols as compact_fd
+    builds them, the wall terms of -L u + F(u) are -1/2 W1 (u^2, (u^2)_x)
+    - beta W2 (u_xx, u_xxxx) - (alpha W2 + beta D2 W2) (u, u_xx), each pair
+    given at both walls: (u^2)_x = 2 u u_x, and D2 (D2 u) needs the walls'
+    (u_xx)_xx = u_xxxx.  On the modes D2 W2 is the D2 symbol ``s2`` times W2.
     """
-    w1 = forward(compact_fd.first_derivative_walls(grid))
-    w2 = forward(compact_fd.second_derivative_walls(grid))
+    w1 = compact_fd.first_derivative_walls(grid)
+    w2 = compact_fd.second_derivative_walls(grid)
     lifted = (params.alpha + params.beta * s2)[:, None] * w2
-    g = np.zeros((grid.n_points - 2, 12))
+    g = np.zeros((len(s2), 12))
     g[:, 0:2] = -lifted[:, 0:2]                              # u
     g[:, 4:6] = -lifted[:, 2:4] - params.beta * w2[:, 0:2]   # u_xx
     g[:, 6:8] = -params.beta * w2[:, 2:4]                    # u_xxxx
@@ -174,21 +161,14 @@ def assemble(
     s2 = compact_fd.second_derivative_symbol(grid)
     linear = params.alpha * s2 + params.beta * s2 * s2
     linear.setflags(write=False)
-    transport = compact_fd.first_derivative_symbol(grid)
-    if grid.scheme is BoundaryScheme.PERIODIC:
-        transport = -0.5 * transport
-    else:  # -1/2 times the -2 sin(theta) of the cosine sums: see the module docstring
-        theta = compact_fd.mode_angles(grid)
-        transport = transport * np.sin(theta) * np.exp(-1j * theta)
-    transport.setflags(write=False)
-    forward, inverse = compact_fd.transforms(grid)
+    forward, inverse, transport = compact_fd.transforms(grid)
     return SemiDiscreteKse(
         params=params,
         grid=grid,
         linear_symbol=linear,
-        transport_symbol=transport,
         forward=forward,
         inverse=inverse,
+        transport=transport,
         boundary_values=boundary_values,
-        wall_matrix=None if boundary_values is None else _wall_matrix(params, grid, s2, forward),
+        wall_matrix=None if boundary_values is None else _wall_matrix(params, grid, s2),
     )

@@ -3,9 +3,11 @@
 The compact operators are built as read-only N x N matrices ``D = A^-1 B``
 straight from their tridiagonal (Dirichlet) or circulant (periodic)
 relations, and :func:`step_dense_reference` evaluates one IMEX step from the
-rational matrix functions with dense solves.  Only public library names are
-used, and the stencils are stated here from the compact relations, so the
-oracle does not share the library's symbols or stencil constants.
+rational matrix functions with dense solves.  Its wall term comes from
+:func:`dense_walls`, the dropped wall stencil columns solved with the dense
+A, so a wrong wall coupling in the library cannot pass.  Only public library
+names are used, and the stencils are stated here from the compact relations,
+so the oracle does not share the library's symbols or stencil constants.
 """
 
 from __future__ import annotations
@@ -72,6 +74,33 @@ def build_second_derivative(grid: Grid) -> np.ndarray:
     return _build(grid, _D2_LHS, _D2_RHS, 12.0 / grid.h**2)
 
 
+def _wall_columns(grid: Grid, lhs_stencil, rhs_stencil, scale: float) -> np.ndarray:
+    """A^-1 E: E holds the terms of the relation at the first and last interior
+    node that reach a wall node, moved to the right-hand side, as columns on
+    (u_0, u_{N-1}, u^(p)_0, u^(p)_{N-1})."""
+    m = grid.n_points - 2
+    wall_terms = np.zeros((m, 4))
+    wall_terms[0, [0, 2]] = scale * rhs_stencil[0], -lhs_stencil[0]
+    wall_terms[-1, [1, 3]] = scale * rhs_stencil[2], -lhs_stencil[2]
+    return _freeze(linalg.lu_solve(linalg.lu_factor(_tridiag(m, *lhs_stencil)), wall_terms))
+
+
+def dense_walls(grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
+    """The (N-2) x 4 wall couplings (W1, W2) of the Dirichlet D1 and D2 at the nodes."""
+    return (_wall_columns(grid, _D1_LHS, _D1_RHS, 3.0 / grid.h),
+            _wall_columns(grid, _D2_LHS, _D2_RHS, 12.0 / grid.h**2))
+
+
+def dense_wall_term(sys: SemiDiscreteKse, t: float) -> np.ndarray:
+    """G w(t) = -1/2 W1 (u^2, (u^2)_x) - beta W2 (u_xx, u_xxxx)
+    - (alpha W2 + beta D2 W2) (u, u_xx), from the wall data at t."""
+    (u, u_x, u_xx, u_xxxx), (alpha, beta) = sys.wall_data(t), (sys.params.alpha, sys.params.beta)
+    w1, w2 = dense_walls(sys.grid)
+    lifted = w2 @ np.r_[u, u_xx]
+    return (-0.5 * w1 @ np.r_[u * u, 2.0 * u * u_x] - beta * w2 @ np.r_[u_xx, u_xxxx]
+            - alpha * lifted - beta * build_second_derivative(sys.grid) @ lifted)
+
+
 def dense_operators(params: KseParameters, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
     """Dense L = alpha D2 + beta D2^2 and D1 from the builders above."""
     d2 = build_second_derivative(grid)
@@ -88,7 +117,7 @@ def step_dense_reference(sys: SemiDiscreteKse, u_n: np.ndarray, t_n: float, k: f
 
     Builds its own dense L and D1, forms (12 I + 6 kL + (kL)^2) and
     (48 I + 12 kL + (kL)^2) and solves with them densely, evaluating F with
-    the dense D1 plus the system's wall term; no partial fractions and no
+    the dense D1 plus :func:`dense_wall_term`; no partial fractions and no
     transform symbols involved.  Oracle for ``imexks.stepper.step``.
     """
     n = sys.state_size
@@ -110,7 +139,7 @@ def step_dense_reference(sys: SemiDiscreteKse, u_n: np.ndarray, t_n: float, k: f
 
     def rhs(u: np.ndarray, t: float) -> np.ndarray:
         f = -0.5 * (d1 @ (u * u))
-        return f if sys.boundary_values is None else f + sys.wall_term(t)
+        return f if sys.boundary_values is None else f + dense_wall_term(sys, t)
 
     f_n = rhs(u_n, t_n)
     a_n = apply_half(48.0 * eye - 12.0 * z + z2, u_n) + 24.0 * k * linalg.lu_solve(den_h, f_n)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dense_reference import build_first_derivative, build_second_derivative
+from dense_reference import build_first_derivative, build_second_derivative, dense_walls
 from imexks import linalg
 from imexks.compact_fd import (
     BoundaryScheme,
@@ -28,16 +28,21 @@ def d2_squared(grid):
     return d2 @ d2
 
 
+def wall_part(grid, walls, wall_data):
+    """The wall coupling, given on the DST-I modes, applied to the wall data at the nodes."""
+    return transforms(grid)[1](walls @ wall_data)
+
+
 def lifted_d1(grid, u, u_x):
     """D1 on a Dirichlet grid with the walls' u and u' fed in: u' at the interior."""
-    return build_first_derivative(grid) @ u[1:-1] + first_derivative_walls(grid) @ (
-        u[0], u[-1], u_x[0], u_x[-1])
+    return build_first_derivative(grid) @ u[1:-1] + wall_part(
+        grid, first_derivative_walls(grid), (u[0], u[-1], u_x[0], u_x[-1]))
 
 
 def lifted_d2(grid, u, u_xx):
     """D2 on a Dirichlet grid with the walls' u and u'' fed in."""
-    return build_second_derivative(grid) @ u[1:-1] + second_derivative_walls(grid) @ (
-        u[0], u[-1], u_xx[0], u_xx[-1])
+    return build_second_derivative(grid) @ u[1:-1] + wall_part(
+        grid, second_derivative_walls(grid), (u[0], u[-1], u_xx[0], u_xx[-1]))
 
 
 def lifted_d4(grid, u, zeros):
@@ -68,6 +73,8 @@ def test_grid_rejects_bad_domain():
     with pytest.raises(ValueError, match="must be an integer"):
         Grid(0.0, 1.0, 10.5, BoundaryScheme.PERIODIC)
     assert Grid(0.0, 1.0, np.int64(10), BoundaryScheme.PERIODIC).h == 0.1
+    with pytest.raises(ValueError, match="must be a BoundaryScheme"):
+        Grid(0.0, 1.0, 10, "periodic")
 
 
 def test_minimum_sizes_enforced():
@@ -163,19 +170,30 @@ def test_symbols_on_dirichlet_grids_use_the_dst_angles():
     grid = dirichlet_grid(16)
     theta = np.pi * np.arange(1, 15) / 15
     c = 2.0 * np.cos(theta)
-    assert first_derivative_symbol(grid) == pytest.approx((3.0 / grid.h) / (4.0 + c), rel=1e-14)
+    assert first_derivative_symbol(grid) == pytest.approx(
+        (3.0 / grid.h) * 2j * np.sin(theta) / (4.0 + c), rel=1e-14)
     assert second_derivative_symbol(grid) == pytest.approx(
         (12.0 / grid.h**2) * (c - 2.0) / (10.0 + c), rel=1e-14)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 64, 198, 199])
 def test_dst1_is_the_sine_sum_and_idst1_inverts_it(m):
-    # the Dirichlet transform pair on m interior nodes, on matrix columns and on a vector
-    dst1, idst1 = transforms(dirichlet_grid(m + 2))
-    x = np.random.default_rng(m).standard_normal((m, 3))
+    # the Dirichlet transform pair on m interior nodes
+    dst1, idst1, _ = transforms(dirichlet_grid(m + 2))
+    x = np.random.default_rng(m).standard_normal(m)
     sines = np.sin(np.pi * np.outer(np.arange(1, m + 1), np.arange(1, m + 1)) / (m + 1))
     assert np.abs(dst1(x) - sines @ x).max() <= 1e-13 * np.abs(sines @ x).max()
-    assert np.abs(idst1(dst1(x[:, 0])) - x[:, 0]).max() <= 1e-14 * np.abs(x).max()
+    assert np.abs(idst1(dst1(x)) - x).max() <= 1e-14 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("n", [7, 8, 41, 200])
+def test_wall_couplings_are_the_dst1_of_the_dense_columns(n):
+    grid = dirichlet_grid(n)
+    dst1 = transforms(grid)[0]
+    for walls, dense in zip((first_derivative_walls(grid), second_derivative_walls(grid)),
+                            dense_walls(grid)):
+        expected = np.column_stack([dst1(column) for column in dense.T])
+        assert np.abs(walls - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 # ------------------------------------------------------ convergence orders
@@ -268,7 +286,7 @@ def test_interior_operator_shapes_and_accuracy():
     d1 = build_first_derivative(grid)
     d2 = build_second_derivative(grid)
     assert d1.shape == (39, 39)
-    x = grid.interior_nodes()
+    x = grid.nodes()[1:-1]
     # the truncated relations assume u, u' = 0 (D1) and u, u'' = 0 (D2) at the
     # walls; sin^2(pi x) satisfies the first pair, sin(pi x) the second
     u1 = np.sin(np.pi * x) ** 2
@@ -281,7 +299,7 @@ def test_interior_second_derivative_convergence():
     errs = []
     for n in (33, 65):
         grid = dirichlet_grid(n, -1.0, 1.0)
-        x = grid.interior_nodes()
+        x = grid.nodes()[1:-1]
         d2 = build_second_derivative(grid)
         errs.append(np.abs(d2 @ np.sin(np.pi * x) + np.pi**2 * np.sin(np.pi * x)).max())
     assert 3.7 <= np.log2(errs[0] / errs[1]) <= 4.3

@@ -125,11 +125,20 @@ def test_prepare_factorization_residual():
             assert np.abs(den @ x - num @ b).max() <= 1e-10 * np.abs(num @ b).max(), problem_id
 
 
+def held_arrays(ws, sys_):
+    """The arrays the workspace and the system hold, with those captured in
+    the closures of the system's callables."""
+    fields = [v for obj in (ws, sys_) for v in vars(obj).values()]
+    captured = [cell.cell_contents for v in fields
+                for cell in getattr(v, "__closure__", None) or ()]
+    return [v for v in fields + captured if isinstance(v, np.ndarray)]
+
+
 def test_periodic_prepare_holds_only_order_n_arrays():
     n = 4096
     sys_ = problems.make_problem(2).build_system(n)
     ws = prepare(sys_, 0.25)
-    arrays = [v for obj in (ws, sys_) for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    arrays = held_arrays(ws, sys_)
     assert len(arrays) == 2 + 7  # the L and transport symbols, the seven stage multipliers
     assert all(a.ndim == 1 and a.size <= n for a in arrays)
 
@@ -139,8 +148,10 @@ def test_dirichlet_prepare_holds_only_order_n_arrays():
     n = 1601
     sys_ = problems.make_problem(1).build_system(n)
     ws = prepare(sys_, 0.0625 / 160)
-    arrays = [v for obj in (ws, sys_) for v in vars(obj).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 2 + 7 + 1
+    arrays = held_arrays(ws, sys_)
+    # the L symbol, the phases of the forward, inverse and transport
+    # transforms, the seven stage multipliers and the wall matrix
+    assert len(arrays) == 1 + 3 + 7 + 1
     assert sys_.wall_matrix.shape == (n - 2, 12)
     assert all(a.ndim == 1 and a.size <= n for a in arrays if a is not sys_.wall_matrix)
 
@@ -423,7 +434,7 @@ def test_states_that_are_not_one_dimensional_are_rejected(problem_id, n_points):
     ws = prepare(sys_, 0.25)
     for bad in (np.stack((u, u), axis=1), u[None, :], u[:-1], np.float64(1.0)):
         for call in (lambda: integrate(sys_, bad, 0.25, 0.5), lambda: step(ws, bad, 0.0),
-                     lambda: sys_.nonlinear_rhs(bad, 0.0)):
+                     lambda: sys_.nonlinear_rhs(bad, 0.0), lambda: sys_.full_state(bad, 0.0)):
             with pytest.raises(ValueError, match="state has shape"):
                 call()
 
