@@ -1,4 +1,4 @@
-"""Error norms, convergence orders and stability regions."""
+"""Error norms, convergence orders and stability regions of r(x, y): step's stages on one mode."""
 
 from __future__ import annotations
 

@@ -10,7 +10,8 @@ the paper's partial-fraction stage, one backward-Euler-type solve with
 kL - c, on the transform modes; its pole and residue constants are pinned in
 criterion 6 of ``tests/test_acceptance.py``.  No N x N matrix is formed: a
 step costs nine real transforms, of u_n and, per stage, of the transport and
-the stage's inverse.
+the stage's inverse.  The stage sequence is written once: :func:`step` runs
+it on the modes, and the amplification factor on one mode.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .system import SemiDiscreteKse
 
 
 class InstabilityError(RuntimeError):
-    """Non-finite values appeared during time stepping."""
+    """Non-finite values appeared during time stepping; ``max_abs`` is max|u_n|
+    of the state that entered the failing step."""
 
     def __init__(self, message: str, step_index: Optional[int] = None,
                  time: Optional[float] = None, max_abs: Optional[float] = None):
@@ -53,25 +55,43 @@ _POLES = (complex(-3.0, math.sqrt(3.0)), complex(-3.0, -math.sqrt(3.0)),
           complex(-6.0, 2.0 * math.sqrt(3.0)), complex(-6.0, -2.0 * math.sqrt(3.0)))
 
 
+def _multipliers(z, k):
+    """The seven stage multipliers of :class:`StepperWorkspace` at z for step k."""
+    r_half, p1_half, p2_half, r, p1, p2, p3 = stage_functions(z)
+    return (r_half - 1.0, k * p1_half, k * p2_half, r - 1.0, k * p1, k * p2, k * p3)
+
+
+def _stages(m, u, u_hat, rhs, inverse):
+    """u_{n+1} of one IMEX-RK4 step from u and its transform ``u_hat``.
+
+    ``m`` holds the seven multipliers of :class:`StepperWorkspace`,
+    ``rhs(i, v)`` is the transform of F at the value v of stage i (0 at u_n,
+    1-3 at a, b, c) and ``inverse`` maps modes back to values.
+    """
+    w1_half, omega1_half, omega2_half, w1, w11, w21, w31 = m
+    f_n = rhs(0, u)
+    r = w1_half * u_hat + omega1_half * f_n  # the linear part of stages a and b
+    f_a = rhs(1, u + inverse(r))
+    f_b = rhs(2, u + inverse(r + omega2_half * (f_a - f_n)))
+    r = w1 * u_hat + w11 * f_n  # of c and u_{n+1}; rebinding r frees the first
+    f_c = rhs(3, u + inverse(r + 2.0 * w21 * (f_b - f_n)))
+    return u + inverse(r + w21 * (2.0 * (f_a + f_b) - 3.0 * f_n - f_c)
+                       + w31 * (f_n - f_a - f_b + f_c))
+
+
 def scalar_amplification(x, y):
     """One-step growth factor of the scheme on u' = -c u + gamma u.
 
     ``x = gamma k`` scales the explicitly treated term and ``y = -c k`` the
-    implicit one, so the update is evaluated at z = k c = -y.  The result is
-    an exact degree-4 polynomial in x with y-dependent coefficients; ``x``
-    may be an array.
+    implicit one: :func:`step`'s stage sequence on one mode with multipliers
+    at z = k c = -y for k = 1, F(v) = x v and u_n = 1.  The result is an exact
+    degree-4 polynomial in x with y-dependent coefficients; ``x`` may be an array.
     """
     z = -complex(y)
-    for pole in _POLES:
-        if abs(z - pole) < 1e-8:
-            raise ValueError(f"z = {z} is too close to the stage pole {pole}")
+    if any(abs(z - pole) < 1e-8 for pole in _POLES):
+        raise ValueError(f"z = {z} is too close to a stage pole")
     x_arr = np.asarray(x, dtype=complex)
-    r_half, p1_h, p2_h, r_full, p1, p2, p3 = stage_functions(z)
-    a = r_half + p1_h * x_arr
-    b = r_half + p1_h * x_arr + p2_h * x_arr * (a - 1.0)
-    c = r_full + p1 * x_arr + 2.0 * p2 * x_arr * (b - 1.0)
-    r = (r_full + p1 * x_arr + p2 * x_arr * (-3.0 + 2.0 * a + 2.0 * b - c)
-         + p3 * x_arr * (1.0 - a - b + c))
+    r = _stages(_multipliers(z, 1.0), 1.0, 1.0, lambda _i, v: x_arr * v, lambda v: v)
     return complex(r) if x_arr.ndim == 0 else r
 
 
@@ -80,37 +100,22 @@ class StepperWorkspace:
     """The per-mode stage multipliers for one (system, k) pair.
 
     With the stage functions of :func:`stage_functions` at z = k lambda on
-    each transform mode: ``w1_half = R_half - 1``, ``omega1_half = k P1_half``,
-    ``omega2_half = k P2_half``, ``w1 = R - 1``, ``w11 = k P1``,
-    ``w21 = k P2`` and ``w31 = k P3``.
+    each transform mode, ``multipliers`` holds, in order, R_half - 1,
+    k P1_half, k P2_half (stages a and b), R - 1, k P1, k P2 (stage c) and
+    k P3 (the update).  The same rule at z = -y and k = 1 gives the one-mode
+    multipliers of the amplification factor :func:`scalar_amplification`.
     """
 
     sys: SemiDiscreteKse
     k: float
-    w1_half: np.ndarray
-    omega1_half: np.ndarray
-    omega2_half: np.ndarray
-    w1: np.ndarray
-    w11: np.ndarray
-    w21: np.ndarray
-    w31: np.ndarray
+    multipliers: tuple
 
 
 def prepare(sys: SemiDiscreteKse, k: float) -> StepperWorkspace:
     """The stage multipliers at z = k lambda, once per time loop."""
     if not (np.isfinite(k) and k > 0):
         raise ValueError("time step must be positive")
-    r_half, p1_half, p2_half, r, p1, p2, p3 = stage_functions(k * sys.linear_symbol)
-    return StepperWorkspace(sys=sys, k=k, w1_half=r_half - 1.0, omega1_half=k * p1_half,
-                            omega2_half=k * p2_half, w1=r - 1.0, w11=k * p1, w21=k * p2,
-                            w31=k * p3)
-
-
-def _check_finite(u: np.ndarray, label: str):
-    if not np.isfinite(u).all():
-        finite = u[np.isfinite(u)]
-        peak = float(np.abs(finite).max()) if finite.size else math.inf
-        raise InstabilityError(f"non-finite values in stage {label}", max_abs=peak)
+    return StepperWorkspace(sys=sys, k=k, multipliers=_multipliers(k * sys.linear_symbol, k))
 
 
 def step(ws: StepperWorkspace, u_n: np.ndarray, t_n: float) -> np.ndarray:
@@ -123,29 +128,24 @@ def step(ws: StepperWorkspace, u_n: np.ndarray, t_n: float) -> np.ndarray:
     """
     sys, k = ws.sys, ws.k
     u_n = sys.check_state(u_n)
-    wall_n, wall_half, wall_next = map(sys.transformed_wall_term, (t_n, t_n + k / 2, t_n + k))
-    # overflow in a diverging run is caught by the finite checks below
+    if not math.isfinite(t_n):
+        raise ValueError(f"time t_n = {t_n} must be finite")
+    walls = tuple(map(sys.transformed_wall_term, (t_n, t_n + k / 2, t_n + k)))
+
+    def check_finite(v, label):
+        if not np.isfinite(v).all():
+            raise InstabilityError(f"non-finite values in stage {label}",
+                                   max_abs=float(np.abs(u_n).max()))
+
+    def rhs(i, v):
+        if i:
+            check_finite(v, "abc"[i - 1])
+        return sys.stage_rhs(v, walls[(i + 1) // 2])  # stages a and b share t_n + k/2
+
+    # overflow in a diverging run is caught by the finite checks
     with np.errstate(over="ignore", invalid="ignore"):
-        u_hat = sys.forward(u_n)
-        f_n = sys.stage_rhs(u_n, wall_n)
-
-        r_a = ws.w1_half * u_hat + ws.omega1_half * f_n
-        a_n = u_n + sys.inverse(r_a)
-        _check_finite(a_n, "a")
-        f_a = sys.stage_rhs(a_n, wall_half)
-
-        b_n = u_n + sys.inverse(r_a + ws.omega2_half * (f_a - f_n))
-        _check_finite(b_n, "b")
-        f_b = sys.stage_rhs(b_n, wall_half)
-
-        r_c = ws.w1 * u_hat + ws.w11 * f_n
-        c_n = u_n + sys.inverse(r_c + 2.0 * ws.w21 * (f_b - f_n))
-        _check_finite(c_n, "c")
-        f_c = sys.stage_rhs(c_n, wall_next)
-
-        u_next = u_n + sys.inverse(r_c + ws.w21 * (2.0 * (f_a + f_b) - 3.0 * f_n - f_c)
-                                   + ws.w31 * (f_n - f_a - f_b + f_c))
-    _check_finite(u_next, "u")
+        u_next = _stages(ws.multipliers, u_n, sys.forward(u_n), rhs, sys.inverse)
+    check_finite(u_next, "u")
     return u_next
 
 
@@ -187,8 +187,7 @@ def integrate(
         try:
             u = step(workspace, u, t)
         except InstabilityError as err:
-            err.step_index = j
-            err.time = t
+            err.step_index, err.time = j, t
             raise
         if observer is not None:
             observer((j + 1) * k, u)

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from imexks.analysis import (
     write_boundary_csv,
     write_field_csv,
 )
+from imexks.cli import parse_y_value
 from imexks.stepper import scalar_amplification
 
 
@@ -160,6 +163,31 @@ def test_amplification_series_coefficients():
     dy = 1e-5
     slope = (_x_taylor_coefficients(dy) - _x_taylor_coefficients(-dy)) / (2 * dy)
     assert np.abs(slope - [1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 32.0]).max() <= 1e-6
+
+
+def _closed_form_amplification(x, y):
+    """r(x, y) from the a/b/c stage recurrence, written out with the (2,2)
+    Pade stage rationals' integer coefficients."""
+    z = -complex(y)
+    den, den_h = 12.0 + 6.0 * z + z * z, 48.0 + 12.0 * z + z * z
+    r_full, r_half = (12.0 - 6.0 * z + z * z) / den, (48.0 - 12.0 * z + z * z) / den_h
+    a = r_half + 24.0 * x / den_h
+    b = a + 2.0 * (12.0 + z) / den_h * x * (a - 1.0)
+    c = r_full + 12.0 * x / den + 2.0 * (6.0 + z) / den * x * (b - 1.0)
+    return (r_full + 12.0 * x / den + (6.0 + z) / den * x * (2.0 * a + 2.0 * b - c - 3.0)
+            + 2.0 * (4.0 + z) / den * x * (1.0 - a - b + c))
+
+
+@pytest.mark.parametrize("config", ["stability_imag_y.json", "stability_real_y.json"])
+def test_amplification_matches_closed_form_on_shipped_windows(config):
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs" / config).read_text())
+    re_min, re_max, im_min, im_max = cfg["window"]
+    x = np.linspace(re_min, re_max, 64)[None, :] + 1j * np.linspace(im_min, im_max, 64)[:, None]
+    for raw in cfg["y"]:
+        y = parse_y_value(raw)
+        expected = _closed_form_amplification(x, y)
+        defect = np.abs(amplification_factor(x, y) - expected) / np.maximum(1.0, np.abs(expected))
+        assert defect.max() <= 1e-13, raw
 
 
 def test_amplification_pole_proximity_is_an_error():

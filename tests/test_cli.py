@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imexks import cli
+from imexks import cli, problems
 from imexks.cli import (
     ConfigError,
     apply_overrides,
@@ -14,6 +14,7 @@ from imexks.cli import (
     parse_y_value,
     serialize_config,
 )
+from imexks.stepper import InstabilityError, integrate
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -284,13 +285,24 @@ def test_stability_run_writes_labeled_files(tmp_path):
     assert report["rows"][0]["area"] > 0
 
 
+def _strict_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def test_run_writes_partial_report_on_instability(tmp_path):
     cfg = config_from_dict({"mode": "solve", "problem": 2, "N": 32, "k": 2.0, "T": 80.0})
-    with pytest.raises(Exception):
+    with pytest.raises(InstabilityError):
         cli.run(cfg, tmp_path)
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert "instability" in report
+    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_strict_constant)
     assert report["instability"]["step_index"] is not None
+    # max_abs is max|u| of the last state that entered a step, the last one an observer sees
+    spec = problems.make_problem(2)
+    sys_ = spec.build_system(32)
+    seen = []
+    with pytest.raises(InstabilityError):
+        integrate(sys_, spec.initial_state(sys_), 2.0, 80.0,
+                  observer=lambda t, u: seen.append(float(np.abs(u).max())))
+    assert report["instability"]["max_abs"] == seen[-1]
 
 
 # ------------------------------------------------------------------- main()

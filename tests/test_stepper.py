@@ -48,6 +48,14 @@ def r22(z):
     return (12.0 - 6.0 * z + z * z) / (12.0 + 6.0 * z + z * z)
 
 
+# the names of the workspace's seven stage multipliers, in order
+MULTIPLIERS = ("w1_half", "omega1_half", "omega2_half", "w1", "w11", "w21", "w31")
+
+
+def named(ws):
+    return dict(zip(MULTIPLIERS, ws.multipliers))
+
+
 # ------------------------------------------------------- stage functions
 
 # the paper's partial-fraction constants in closed form: the upper stage poles
@@ -76,18 +84,18 @@ def test_partial_fraction_identities_on_real_axis():
     # residue w and pole c, times k for the weights of F
     k = 0.5
     z = np.linspace(0.0, 30.0, 200)
-    ws = prepare(types.SimpleNamespace(linear_symbol=z / k), k)
+    ws = named(prepare(types.SimpleNamespace(linear_symbol=z / k), k))
     for name, w in RESIDUES.items():
         pole = POLE_HALF if name.endswith("half") else POLE
         scale = 1.0 if name in ("w1", "w1_half") else k
-        assert np.abs(getattr(ws, name) - 2.0 * scale * (w / (z - pole)).real).max() <= 1e-12, name
+        assert np.abs(ws[name] - 2.0 * scale * (w / (z - pole)).real).max() <= 1e-12, name
 
 
 def test_mean_conservation_identity():
     # -w1 / c1 is imaginary, so 2 Re(w1 / (0 - c1)) = R(0) - 1 vanishes: the
     # zero mode (lam = 0) passes the linear stages unchanged
-    ws = prepare(ScalarSystem(0.0), 0.25)
-    assert ws.w1[0] == 0.0 and ws.w1_half[0] == 0.0
+    ws = named(prepare(ScalarSystem(0.0), 0.25))
+    assert ws["w1"][0] == 0.0 and ws["w1_half"][0] == 0.0
 
 
 # ---------------------------------------------------------------- prepare
@@ -99,14 +107,14 @@ def test_prepare_scalar_pole_shift():
     k, lam = 0.5, 2.0
     z = k * lam
     den, den_h = 12.0 + 6.0 * z + z * z, 48.0 + 12.0 * z + z * z
-    ws = prepare(ScalarSystem(lam), k)
+    ws = named(prepare(ScalarSystem(lam), k))
     expected = {
         "w1": r22(z) - 1.0, "w11": 12.0 * k / den, "w21": k * (6.0 + z) / den,
         "w31": 2.0 * k * (4.0 + z) / den, "w1_half": (48.0 - 12.0 * z + z * z) / den_h - 1.0,
         "omega1_half": 24.0 * k / den_h, "omega2_half": 2.0 * k * (12.0 + z) / den_h,
     }
     for name, value in expected.items():
-        assert getattr(ws, name)[0] == pytest.approx(value, rel=1e-14), name
+        assert ws[name][0] == pytest.approx(value, rel=1e-14), name
 
 
 def test_prepare_factorization_residual():
@@ -114,21 +122,21 @@ def test_prepare_factorization_residual():
     # system's transform) is the Pade rational num/den of the dense kL
     for problem_id, n_points, k in ((2, 64, 0.125), (3, 51, 0.01)):
         sys_ = problems.make_problem(problem_id).build_system(n_points)
-        ws = prepare(sys_, k)
+        ws = named(prepare(sys_, k))
         z = k * dense_operators(sys_.params, sys_.grid)[0]
         eye = np.eye(sys_.state_size)
         b = np.random.default_rng(5).standard_normal(sys_.state_size)
         for multiplier, num, den in (
-                (ws.w1, 12.0 * eye - 6.0 * z + z @ z, 12.0 * eye + 6.0 * z + z @ z),
-                (ws.w1_half, 48.0 * eye - 12.0 * z + z @ z, 48.0 * eye + 12.0 * z + z @ z)):
+                (ws["w1"], 12.0 * eye - 6.0 * z + z @ z, 12.0 * eye + 6.0 * z + z @ z),
+                (ws["w1_half"], 48.0 * eye - 12.0 * z + z @ z, 48.0 * eye + 12.0 * z + z @ z)):
             x = b + sys_.inverse(multiplier * sys_.forward(b))
             assert np.abs(den @ x - num @ b).max() <= 1e-10 * np.abs(num @ b).max(), problem_id
 
 
 def held_arrays(ws, sys_):
-    """The arrays the workspace and the system hold, with those captured in
-    the closures of the system's callables."""
-    fields = [v for obj in (ws, sys_) for v in vars(obj).values()]
+    """The arrays the workspace and the system hold, with those in the
+    workspace's multiplier tuple and captured in the system's closures."""
+    fields = [v for obj in (ws, sys_) for v in vars(obj).values()] + list(ws.multipliers)
     captured = [cell.cell_contents for v in fields
                 for cell in getattr(v, "__closure__", None) or ()]
     return [v for v in fields + captured if isinstance(v, np.ndarray)]
@@ -161,7 +169,7 @@ def test_prepare_rebuilds_for_new_step():
     ws1 = prepare(sys_, 0.2)
     ws2 = prepare(sys_, 0.1)
     assert ws1.k != ws2.k
-    assert not np.array_equal(ws1.w1, ws2.w1)
+    assert not np.array_equal(named(ws1)["w1"], named(ws2)["w1"])
 
 
 def test_prepare_rejects_bad_step():
@@ -484,14 +492,24 @@ def test_non_finite_state_raises_instability():
         step(ws, np.array([np.inf]), 0.0)
 
 
-def test_genuine_blowup_is_reported_with_step_index():
+@pytest.mark.parametrize("n_points,k,stage,step_index", [(32, 2.0, "c", 8), (256, 4.0, "b", 5)])
+def test_genuine_blowup_is_reported_with_step_index(n_points, k, stage, step_index):
     spec = problems.make_problem(2)
-    sys_ = spec.build_system(32)
+    sys_ = spec.build_system(n_points)
     u0 = spec.initial_state(sys_)
-    with pytest.raises(InstabilityError) as err:
-        integrate(sys_, u0, 2.0, 80.0)
-    assert err.value.step_index is not None
-    assert err.value.step_index < 40
+    with pytest.raises(InstabilityError, match=f"stage {stage}$") as err:
+        integrate(sys_, u0, k, 80.0)
+    assert err.value.step_index == step_index
+    assert err.value.time == step_index * k
+
+
+@pytest.mark.parametrize("t_n", [math.nan, math.inf])
+@pytest.mark.parametrize("problem_id, n_points", [(1, 26), (2, 32)])
+def test_step_rejects_a_non_finite_time(problem_id, n_points, t_n):
+    spec = problems.make_problem(problem_id)
+    sys_ = spec.build_system(n_points)
+    with pytest.raises(ValueError, match="time"):
+        step(prepare(sys_, 0.1), spec.initial_state(sys_), t_n)
 
 
 def test_example3_self_difference_matches_expected_scale():
