@@ -9,7 +9,6 @@ from .analysis import (
     gre,
     max_norm_error,
     observed_order,
-    self_difference_error,
     stability_scan,
 )
 from .compact_fd import BoundaryScheme, Grid
@@ -43,7 +42,6 @@ __all__ = [
     "max_norm_error",
     "observed_order",
     "prepare",
-    "self_difference_error",
     "stability_scan",
     "step",
     "__version__",

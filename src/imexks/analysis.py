@@ -43,11 +43,6 @@ def observed_order(e_coarse: float, e_fine: float) -> float:
     return math.log10(e_coarse / e_fine) / math.log10(2.0)
 
 
-def self_difference_error(u_k, u_2k) -> float:
-    """E_k = ||U_k - U_2k||_inf between final states at steps k and 2k."""
-    return max_norm_error(u_k, u_2k)
-
-
 DEFAULT_WINDOW = (-8.0, 4.0, -8.0, 8.0)
 DEFAULT_RESOLUTION = 512
 BISECTION_STEPS = 48
@@ -58,7 +53,6 @@ class StabilityField:
     """Sampled |r(x, y)| over a rectangle of the complex x plane."""
 
     y: complex
-    window: tuple
     re_axis: np.ndarray
     im_axis: np.ndarray
     magnitudes: np.ndarray  # shape (len(im_axis), len(re_axis))
@@ -116,6 +110,18 @@ def _link_segments(tails: np.ndarray, heads: np.ndarray, points: np.ndarray) -> 
     return [np.column_stack((pts.real, pts.imag)) for pts in polylines]
 
 
+def scan_axes(window: tuple, resolution: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary axes of a scan: ``resolution`` >= 16 points across the window."""
+    re_min, re_max, im_min, im_max = window
+    if not np.isfinite(window).all():
+        raise ValueError(f"the window {window} must be finite")
+    if not (re_max > re_min and im_max > im_min):
+        raise ValueError(f"window {window} must satisfy re_min < re_max and im_min < im_max")
+    if resolution < 16:
+        raise ValueError(f"resolution must be at least 16 samples per axis, got {resolution}")
+    return np.linspace(re_min, re_max, resolution), np.linspace(im_min, im_max, resolution)
+
+
 def stability_scan(y, window: tuple = DEFAULT_WINDOW,
                    resolution: int = DEFAULT_RESOLUTION) -> StabilityField:
     """Sample |r(x, y)| on the window and extract the |r| = 1 level set.
@@ -132,15 +138,9 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
     outside the stability region) is flagged, not an error.
     """
     y = complex(y)
-    re_min, re_max, im_min, im_max = window
-    if not (np.isfinite(y) and np.isfinite(window).all()):
-        raise ValueError(f"y = {y} and the window {window} must be finite")
-    if not (re_max > re_min and im_max > im_min):
-        raise ValueError(f"degenerate window {window}")
-    if resolution < 16:
-        raise ValueError("resolution must be at least 16 samples per axis")
-    re_axis = np.linspace(re_min, re_max, resolution)
-    im_axis = np.linspace(im_min, im_max, resolution)
+    if not np.isfinite(y):
+        raise ValueError(f"y = {y} must be finite")
+    re_axis, im_axis = scan_axes(window, resolution)
     x_grid = re_axis[None, :] + 1j * im_axis[:, None]
     magnitudes = np.abs(scalar_amplification(x_grid, y))
 
@@ -188,8 +188,8 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
     heads = np.concatenate((heads, edges[saddle][rows, k_head].ravel()))
 
     boundary = _link_segments(tails, heads, points)
-    return StabilityField(y=y, window=tuple(window), re_axis=re_axis, im_axis=im_axis,
-                          magnitudes=magnitudes, boundary=boundary)
+    return StabilityField(y=y, re_axis=re_axis, im_axis=im_axis, magnitudes=magnitudes,
+                          boundary=boundary)
 
 
 def write_field_csv(stability_field: StabilityField, path):

@@ -74,10 +74,6 @@ def _floats(value) -> Tuple[float, ...]:
     return tuple(map(_finite, value if isinstance(value, (list, tuple)) else [value]))
 
 
-def _float_or_list(value):
-    return _floats(value) if isinstance(value, (list, tuple)) else _finite(value)
-
-
 def _y_tag(label: str) -> str:
     """The label in the output file names: characters other than letters,
     digits and ``+-.`` become ``_``."""
@@ -98,22 +94,19 @@ def _window(value) -> Tuple[float, ...]:
     return _floats(value)
 
 
-# config key -> coercer of its JSON value; a config lists its keys in this order
-_KEYS = {"mode": str, "problem": _integer, "N": _integer, "h": _float_or_list,
-         "k": _float_or_list, "T": _finite, "snapshots": _floats, "times": _floats,
-         "beta": _finite, "y": _y_labels, "window": _window, "resolution": _integer}
+# config key -> coercer of its JSON value; a config lists its keys in this order.
+# A mode's list keys (below) are coerced by _floats instead.
+_KEYS = {"mode": str, "problem": _integer, "N": _integer, "h": _finite, "k": _finite,
+         "T": _finite, "snapshots": _floats, "times": _floats, "beta": _finite,
+         "y": _y_labels, "window": _window, "resolution": _integer}
 
-# mode -> (required keys, rejected keys, keys that take a list)
-_STABILITY_KEYS = ("y", "window", "resolution")
+# mode -> (required keys, other accepted keys, keys that take a halving list)
 _MODES = {
-    "solve": (("problem", "k", "T"), ("times", *_STABILITY_KEYS), ()),
-    "converge-space-time": (("problem", "h", "k", "T"),
-                            ("N", "snapshots", "times", *_STABILITY_KEYS), ("h", "k")),
-    "converge-time": (("problem", "N", "k", "T"),
-                      ("h", "snapshots", "times", *_STABILITY_KEYS), ("k",)),
-    "stability": (("y",), ("problem", "N", "h", "k", "T", "snapshots", "times", "beta"), ()),
-    "gre-table": (("problem", "N", "k", "times"), ("h", "T", "snapshots", *_STABILITY_KEYS),
-                  ()),
+    "solve": (("problem", "k", "T"), ("N", "h", "snapshots", "beta"), ()),
+    "converge-space-time": (("problem", "h", "k", "T"), ("beta",), ("h", "k")),
+    "converge-time": (("problem", "N", "k", "T"), ("beta",), ("k",)),
+    "stability": (("y",), ("window", "resolution"), ()),
+    "gre-table": (("problem", "N", "k", "times"), ("beta",), ()),
 }
 
 
@@ -130,18 +123,31 @@ def _json_object(text: str) -> dict:
 def config_from_dict(data: dict) -> Mapping:
     """The validated config, read-only, in ``_KEYS`` order; lists become tuples, empty
     ones are dropped."""
-    coerced = {}
-    for key, value in data.items():
+    for key in data:
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+    if "mode" not in data:
+        raise ConfigError("config requires a mode")
+    mode = str(data["mode"])
+    if mode not in _MODES:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {tuple(_MODES)}")
+    required, accepted, lists = _MODES[mode]
+    coerced = {}
+    for key, value in data.items():
+        if key not in ("mode",) + required + accepted:
+            raise ConfigError(f"mode {mode!r} does not accept {key!r}")
         try:
-            coerced[key] = _KEYS[key](value)
+            coerced[key] = (_floats if key in lists else _KEYS[key])(value)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad value for {key!r}: {err}") from err
-    if "mode" not in coerced:
-        raise ConfigError("config requires a mode")
     cfg = MappingProxyType({key: coerced[key] for key in _KEYS if coerced.get(key, ()) != ()})
-    validate_config(cfg)
+    for key in required:
+        if key not in cfg:
+            raise ConfigError(f"mode {mode!r} requires {key!r}")
+    try:
+        validate_config(cfg)
+    except ValueError as err:  # the library's own checks, such as grid sizes
+        raise ConfigError(str(err)) from err
     return cfg
 
 
@@ -169,39 +175,30 @@ def apply_overrides(data: dict, pairs) -> dict:
     return out
 
 
-def _run_points(cfg: Mapping, spec: ProblemSpec) -> Tuple[int, ...]:
-    """Node count of each run, aligned with the k list."""
+def _runs(cfg: Mapping, spec: ProblemSpec) -> Tuple[Tuple[int, float], ...]:
+    """(node count, step) of each run in order; converge-time first runs a reference at 2 k[0]."""
+    steps = _floats(cfg["k"])
+    if cfg["mode"] == "converge-time":
+        steps = (2.0 * steps[0],) + steps
     if "N" in cfg:
-        return (cfg["N"],) * len(_floats(cfg["k"]))
+        return tuple((cfg["N"], k) for k in steps)
     length = spec.domain[1] - spec.domain[0]
     cells = [stepper.whole_steps(length, h) for h in _floats(cfg["h"])]
     if None in cells:
         raise ConfigError(f"h = {cfg['h']} does not divide the domain length {length}")
-    return tuple(n + spec.scheme.walls for n in cells)
+    return tuple((n + spec.scheme.walls, k) for n, k in zip(cells, steps))
 
 
 def validate_config(cfg: Mapping):
+    """The rules between keys of a config whose keys suit its mode."""
     mode = cfg["mode"]
-    if mode not in _MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {tuple(_MODES)}")
-    required, rejected, lists = _MODES[mode]
-    for key in required + rejected:
-        if (key in cfg) != (key in required):
-            verb = "requires" if key in required else "does not accept"
-            raise ConfigError(f"mode {mode!r} {verb} {key!r}")
+    lists = _MODES[mode][2]
     if mode == "stability":
-        if cfg.get("resolution", 16) < 16:
-            raise ConfigError("stability resolution must be at least 16")
-        re_min, re_max, im_min, im_max = cfg.get("window", analysis.DEFAULT_WINDOW)
-        if not (re_max > re_min and im_max > im_min):
-            raise ConfigError("window must satisfy re_min < re_max and im_min < im_max")
+        analysis.scan_axes(cfg.get("window", analysis.DEFAULT_WINDOW),
+                           cfg.get("resolution", analysis.DEFAULT_RESOLUTION))
         return
     if mode == "solve" and ("N" in cfg) == ("h" in cfg):
         raise ConfigError("solve requires exactly one of N or h")
-    for key in ("h", "k"):
-        if key in cfg and isinstance(cfg[key], tuple) != (key in lists):
-            what = "a list" if key in lists else "a single value"
-            raise ConfigError(f"mode {mode!r} takes {what} for {key!r}")
     if any(min(_floats(cfg[key])) <= 0 for key in ("h", "k", "T") if key in cfg):
         raise ConfigError("h, k and T must be positive")
     if lists:
@@ -212,9 +209,9 @@ def validate_config(cfg: Mapping):
         if not all(_is_halving(cfg[key]) for key in lists):
             raise ConfigError("refinement lists must halve at every level")
 
-    # converge-time also runs a reference at twice the first step
-    steps = _floats(cfg["k"]) + ((2.0 * cfg["k"][0],) if mode == "converge-time" else ())
-    for k_val in steps:
+    spec = make_problem(cfg["problem"], beta=cfg.get("beta"))
+    runs = _runs(cfg, spec)
+    for _, k_val in runs:
         if "T" in cfg and stepper.whole_steps(cfg["T"], k_val) is None:
             raise ConfigError(f"T = {cfg['T']} is not an integer multiple of k = {k_val}")
     for t_snap in cfg.get("snapshots", ()):
@@ -226,12 +223,8 @@ def validate_config(cfg: Mapping):
     for t_val in times:
         if t_val <= 0 or stepper.whole_steps(t_val, cfg["k"]) is None:
             raise ConfigError(f"time {t_val} is not a positive step multiple")
-    try:
-        spec = make_problem(cfg["problem"], beta=cfg.get("beta"))
-        for n_points in set(_run_points(cfg, spec)):
-            spec.build_system(n_points)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    for n_points in {n for n, _ in runs}:
+        spec.build_system(n_points)
     if mode in ("converge-space-time", "gre-table") and spec.exact_solution is None:
         raise ConfigError(f"mode {mode!r} requires the problem with an exact solution")
 
@@ -297,13 +290,13 @@ def run(cfg: Mapping, out_dir) -> dict:
 
 
 def _run_solve(cfg: Mapping, spec: ProblemSpec, out: Path, report: dict):
-    (n_points,) = _run_points(cfg, spec)
-    k, t_final = cfg["k"], cfg["T"]
+    ((n_points, k),) = _runs(cfg, spec)
+    t_final = cfg["T"]
     sys_, u_final, captured, timings = _timed_run(spec, n_points, k, t_final,
                                                   cfg.get("snapshots", (t_final,)))
     x_full = sys_.grid.nodes()
     for t_snap in sorted(captured):
-        name = f"field_t{t_snap:g}.csv"
+        name = f"field_t{repr(t_snap).removesuffix('.0')}.csv"
         np.savetxt(out / name, np.column_stack([x_full, sys_.full_state(captured[t_snap], t_snap)]),
                    delimiter=",", fmt="%.17e", header="x,u", comments="")
         report["outputs"].append(name)
@@ -323,20 +316,21 @@ def _run_converge(cfg: Mapping, spec: ProblemSpec, out: Path, report: dict):
     Time mode: E_k against the run at twice the step, starting from 2 k[0]."""
     space_time = cfg["mode"] == "converge-space-time"
     t_final = cfg["T"]
+    runs = _runs(cfg, spec)
     if not space_time:
-        k_ref = 2.0 * cfg["k"][0]
-        _, u_prev, _, timings = _timed_run(spec, cfg["N"], k_ref, t_final)
+        (n_ref, k_ref), runs = runs[0], runs[1:]
+        _, u_prev, _, timings = _timed_run(spec, n_ref, k_ref, t_final)
         report["reference_run"] = {"k": k_ref, **timings}
     error_key = "max_norm" if space_time else "e_k"
     e_prev = None
     rows_csv = []
-    for n_points, k_val in zip(_run_points(cfg, spec), cfg["k"]):
+    for n_points, k_val in runs:
         sys_, u_final, _, timings = _timed_run(spec, n_points, k_val, t_final)
         row = {"n_points": n_points, "h": sys_.grid.h, "k": k_val, "T": t_final}
         if space_time:
             row.update(_exact_errors(spec, sys_, u_final, t_final))
         else:
-            row["e_k"] = analysis.self_difference_error(u_final, u_prev)
+            row["e_k"] = analysis.max_norm_error(u_final, u_prev)
             u_prev = u_final
         error = row[error_key]
         order = None if e_prev is None else analysis.observed_order(e_prev, error)
@@ -352,7 +346,8 @@ def _run_converge(cfg: Mapping, spec: ProblemSpec, out: Path, report: dict):
 
 
 def _run_gre_table(cfg: Mapping, spec: ProblemSpec, out: Path, report: dict):
-    n_points, k, times = cfg["N"], cfg["k"], cfg["times"]
+    ((n_points, k),) = _runs(cfg, spec)
+    times = cfg["times"]
     sys_, _, captured, timings = _timed_run(spec, n_points, k, times[-1], times)
     rows_csv = []
     for t_val in times:

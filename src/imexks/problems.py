@@ -68,7 +68,6 @@ def example1_wall_data(x, t) -> np.ndarray:
 class ProblemSpec:
     """Static description of one benchmark problem."""
 
-    problem_id: int
     domain: tuple
     params: KseParameters
     scheme: BoundaryScheme
@@ -83,7 +82,7 @@ class ProblemSpec:
         return assemble(self.params, self.grid(n_points), self.boundary_values)
 
     def initial_state(self, sys: SemiDiscreteKse) -> np.ndarray:
-        return sys.initial_state(self.initial_condition)
+        return np.asarray(self.initial_condition(sys.active_nodes()), dtype=float)
 
 
 def _ic_problem2(x):
@@ -108,7 +107,6 @@ def make_problem(problem_id: int, beta: Optional[float] = None) -> ProblemSpec:
         raise ValueError("beta override is only available for problem 4")
     if problem_id == 1:
         return ProblemSpec(
-            problem_id=1,
             domain=(-50.0, 50.0),
             params=KseParameters(alpha=-1.0, beta=1.0),
             scheme=BoundaryScheme.DIRICHLET,
@@ -118,7 +116,6 @@ def make_problem(problem_id: int, beta: Optional[float] = None) -> ProblemSpec:
         )
     if problem_id == 2:
         return ProblemSpec(
-            problem_id=2,
             domain=(0.0, 32.0 * math.pi),
             params=KseParameters(alpha=1.0, beta=1.0),
             scheme=BoundaryScheme.PERIODIC,
@@ -126,7 +123,6 @@ def make_problem(problem_id: int, beta: Optional[float] = None) -> ProblemSpec:
         )
     if problem_id == 3:
         return ProblemSpec(
-            problem_id=3,
             domain=(-30.0, 30.0),
             params=KseParameters(alpha=1.0, beta=1.0),
             scheme=BoundaryScheme.DIRICHLET,
@@ -134,7 +130,6 @@ def make_problem(problem_id: int, beta: Optional[float] = None) -> ProblemSpec:
         )
     if problem_id == 4:
         return ProblemSpec(
-            problem_id=4,
             domain=(-1.0, 1.0),
             params=KseParameters(alpha=1.0, beta=1.1 if beta is None else beta),
             scheme=BoundaryScheme.DIRICHLET,

@@ -104,10 +104,6 @@ class SemiDiscreteKse:
         """F(U, t) = -1/2 D1 (U * U), plus the wall term when there is wall data."""
         return self.inverse(self.stage_rhs(self.check_state(u), self.transformed_wall_term(t)))
 
-    def initial_state(self, initial_condition: Callable) -> np.ndarray:
-        """Sample an initial-condition function onto the active unknowns."""
-        return np.asarray(initial_condition(self.active_nodes()), dtype=float)
-
     def full_state(self, u: np.ndarray, t: float) -> np.ndarray:
         """The state on every grid node: Dirichlet walls get the wall data at t."""
         out = np.zeros(self.grid.n_points)

@@ -55,7 +55,7 @@ def test_criterion_2_table3_periodic_time_convergence():
     finals = {}
     for k in (0.25, 0.125, 0.0625, 0.03125):
         finals[k] = stepper.integrate(sys_, u0, k, 10.0)
-    eks = [analysis.self_difference_error(finals[k], finals[2 * k])
+    eks = [analysis.max_norm_error(finals[k], finals[2 * k])
            for k in (0.125, 0.0625, 0.03125)]
     expected = [6.291e-05, 3.922e-06, 2.442e-07]
     orders = [analysis.observed_order(a, b) for a, b in zip(eks, eks[1:])]
@@ -75,7 +75,7 @@ def test_criterion_3_table4_gaussian_time_convergence():
     u0 = spec.initial_state(sys_)
     ks = (0.01, 0.005, 0.0025, 0.00125, 0.000625)
     finals = {k: stepper.integrate(sys_, u0, k, 1.0) for k in ks}
-    eks = [analysis.self_difference_error(finals[k], finals[2 * k]) for k in ks[1:]]
+    eks = [analysis.max_norm_error(finals[k], finals[2 * k]) for k in ks[1:]]
     orders = [analysis.observed_order(a, b) for a, b in zip(eks, eks[1:])]
     elapsed = time.perf_counter() - t0
     ok = all(3.5 <= o <= 4.4 for o in orders) and elapsed < 60.0
@@ -94,7 +94,7 @@ def test_criterion_4_table5_beta_time_convergence():
     u0 = spec.initial_state(sys_)
     ks = (0.005, 0.0025, 0.00125, 0.000625, 0.0003125)
     finals = {k: stepper.integrate(sys_, u0, k, 1.0) for k in ks}
-    eks = [analysis.self_difference_error(finals[k], finals[2 * k]) for k in ks[1:]]
+    eks = [analysis.max_norm_error(finals[k], finals[2 * k]) for k in ks[1:]]
     orders = [analysis.observed_order(a, b) for a, b in zip(eks, eks[1:])]
     elapsed = time.perf_counter() - t0
     ok = all(3.5 <= o <= 4.5 for o in orders) and elapsed < 60.0

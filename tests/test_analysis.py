@@ -15,7 +15,6 @@ from imexks.analysis import (
     gre,
     max_norm_error,
     observed_order,
-    self_difference_error,
     stability_scan,
     write_boundary_csv,
     write_field_csv,
@@ -63,11 +62,6 @@ def test_observed_order_of_sixteenfold_drop(e):
 def test_observed_order_rejects_nonpositive():
     with pytest.raises(ValueError):
         observed_order(0.0, 1.0)
-
-
-def test_self_difference_error():
-    assert self_difference_error([1.0, 1.0], [1.0, 1.0]) == 0.0
-    assert self_difference_error([2.0, 0.0], [0.5, 0.0]) == 1.5
 
 
 def test_norms_satisfy_triangle_inequality():
@@ -434,7 +428,7 @@ def test_boundary_csv_format(tmp_path):
 
 
 def test_empty_boundary_csv(tmp_path):
-    field = StabilityField(y=0.0, window=(0, 1, 0, 1), re_axis=np.array([0.0, 1.0]),
+    field = StabilityField(y=0.0, re_axis=np.array([0.0, 1.0]),
                            im_axis=np.array([0.0, 1.0]), magnitudes=np.full((2, 2), 2.0))
     path = tmp_path / "empty.csv"
     write_boundary_csv(field, path)

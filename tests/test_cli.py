@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imexks import cli, problems
+from imexks import cli, problems, stepper
 from imexks.cli import (
     ConfigError,
     apply_overrides,
@@ -131,6 +131,19 @@ INVALID_CONFIGS = [
     # one scan and one pair of output files per y: a repeated y would overwrite
     ({"mode": "stability", "y": ["-2", "-2"]}, "same y"),
     ({"mode": "stability", "y": ["5i", "5 i"]}, "same y"),
+    ({"mode": "solve", "problem": 1, "N": 26.0, "k": 0.1, "T": 1.0}, "expected an integer"),
+    ({"mode": "nope"}, "unknown mode"),
+    ({"mode": "stability", "y": ["-2"], "window": [1, 2, 3]}, "window must be"),
+    ({"mode": "stability", "y": ["-2"], "resolution": 8}, "at least 16"),
+    ({"mode": "stability", "y": ["-2"], "window": [4, -8, -8, 8]}, "re_min < re_max"),
+    ({"mode": "converge-space-time", "problem": 1, "h": [4.0, 2.0], "k": [0.1], "T": 1.0},
+     "equal length"),
+    ({"mode": "converge-time", "problem": 2, "N": 64, "k": [0.25], "T": 1.0},
+     "at least two levels"),
+    ({"mode": "solve", "problem": 1, "N": 26, "k": 0.25, "T": 1.0, "snapshots": [2.0]},
+     "snapshot time"),
+    ({"mode": "solve", "problem": 1, "N": 26, "k": 0.25, "T": 1.0, "snapshots": [0.3]},
+     "snapshot time"),
 ]
 
 
@@ -148,6 +161,48 @@ def test_main_reports_invalid_config_without_traceback(tmp_path, capsys, data, _
     assert err.startswith("config error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# every key but mode, with a value that is valid wherever the key is accepted
+VALID_VALUES = {"problem": 1, "N": 26, "h": 4.0, "k": 0.1, "T": 1.0, "snapshots": [0.5],
+                "times": [1.0], "beta": 1.1, "y": ["-2"], "window": [-8.0, 4.0, -8.0, 8.0],
+                "resolution": 64}
+# mode -> (a valid config with the required keys only, the other keys it accepts)
+MODE_KEYS = {
+    "solve": ({"problem": 1, "N": 26, "k": 0.1, "T": 1.0}, {"h", "snapshots", "beta"}),
+    "converge-space-time": ({"problem": 1, "h": [4.0, 2.0], "k": [0.1, 0.05], "T": 1.0},
+                            {"beta"}),
+    "converge-time": ({"problem": 2, "N": 64, "k": [0.25, 0.125], "T": 1.0}, {"beta"}),
+    "gre-table": ({"problem": 1, "N": 26, "k": 0.5, "times": [1.0]}, {"beta"}),
+    "stability": ({"y": ["-2"]}, {"window", "resolution"}),
+}
+REFUSED_KEYS = [(mode, key) for mode, (base, other) in MODE_KEYS.items()
+                for key in VALID_VALUES if key not in base and key not in other]
+
+
+@pytest.mark.parametrize("mode,key", REFUSED_KEYS)
+def test_each_mode_refuses_the_keys_it_does_not_take(mode, key):
+    base = {"mode": mode, **MODE_KEYS[mode][0]}
+    config_from_dict(base)
+    with pytest.raises(ConfigError, match=f"does not accept '{key}'"):
+        config_from_dict({**base, key: VALID_VALUES[key]})
+
+
+@pytest.mark.parametrize("mode", MODE_KEYS)
+def test_each_mode_requires_its_keys(mode):
+    base = {"mode": mode, **MODE_KEYS[mode][0]}
+    required = base.keys() - {"mode"} - ({"N"} if mode == "solve" else set())  # or h
+    for key in required:
+        with pytest.raises(ConfigError, match=f"requires '{key}'"):
+            config_from_dict({name: value for name, value in base.items() if name != key})
+
+
+def test_a_number_for_a_list_and_a_list_for_a_number_are_refused():
+    with pytest.raises(ConfigError, match="at least two levels"):
+        config_from_dict({"mode": "converge-time", "problem": 2, "N": 64, "k": 0.25, "T": 1.0})
+    with pytest.raises(ConfigError, match="bad value for 'k'"):
+        config_from_dict({"mode": "solve", "problem": 2, "N": 64, "k": [0.25, 0.125],
+                          "T": 1.0})
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
@@ -285,6 +340,22 @@ def test_stability_run_writes_labeled_files(tmp_path):
     assert report["rows"][0]["area"] > 0
 
 
+def test_snapshot_times_that_share_six_digits_write_two_files(tmp_path, monkeypatch):
+    cfg = config_from_dict({"mode": "solve", "problem": 2, "N": 16, "k": 0.25,
+                            "T": 100000.5, "snapshots": [100000.25, 100000.5]})
+
+    def last_two_steps(sys_, u0, k, t_final, observer=None, workspace=None):
+        for n_step in (400001, 400002):
+            observer(n_step * k, u0)
+        return u0
+
+    monkeypatch.setattr(stepper, "integrate", last_two_steps)
+    report = cli.run(cfg, tmp_path)
+    fields = ["field_t100000.25.csv", "field_t100000.5.csv"]
+    assert report["outputs"] == fields + ["table.csv"]
+    assert sorted(path.name for path in tmp_path.glob("field_t*.csv")) == fields
+
+
 def _strict_constant(token):
     raise ValueError(f"{token} is not JSON")
 
@@ -364,6 +435,11 @@ def test_main_instability_exit_code(tmp_path):
     path = _write_config(tmp_path, {"mode": "solve", "problem": 2, "N": 32,
                                     "k": 2.0, "T": 80.0})
     assert cli.main(["--config", path, "--out", str(tmp_path / "out")]) == 3
+
+
+def test_main_rejects_a_config_that_is_not_an_object(tmp_path):
+    path = _write_config(tmp_path, [{"mode": "solve"}])
+    assert cli.main(["--config", path, "--out", str(tmp_path / "out")]) == 2
 
 
 def test_main_rejects_malformed_json(tmp_path):

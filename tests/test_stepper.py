@@ -421,6 +421,12 @@ def test_integrate_rejects_non_integer_step_count():
         integrate(sys_, np.array([1.0]), 0.1, 1e308)  # t_final / k overflows to inf
 
 
+@pytest.mark.parametrize("t_final", [-1.0, math.inf, math.nan])
+def test_integrate_rejects_a_bad_final_time(t_final):
+    with pytest.raises(ValueError, match="final time must be nonnegative"):
+        integrate(ScalarSystem(1.0), np.array([1.0]), 0.1, t_final)
+
+
 def test_integrate_rejects_mismatched_workspace():
     sys_ = ScalarSystem(1.0)
     ws = prepare(sys_, 0.1)

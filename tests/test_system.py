@@ -224,14 +224,14 @@ def test_system_with_wall_data_is_reduced():
 
 def test_homogeneous_initial_state_vanishes_at_walls():
     sys_ = reduced_system(n=41)
-    u0 = sys_.initial_state(lambda x: -np.sin(np.pi * x))
+    u0 = -np.sin(np.pi * sys_.active_nodes())
     full = sys_.full_state(u0, 0.0)
     assert full[0] == 0.0 and full[-1] == 0.0
 
 
 def test_injected_initial_state_carries_boundary_data():
     sys_ = wave_system()
-    u0 = sys_.initial_state(lambda x: example1_exact(x, 0.0))
+    u0 = example1_exact(sys_.active_nodes(), 0.0)
     x = sys_.grid.nodes()
     assert np.array_equal(u0, example1_exact(x[1:-1], 0.0))
     full = sys_.full_state(u0, 0.0)
@@ -241,7 +241,7 @@ def test_injected_initial_state_carries_boundary_data():
 
 def test_full_state_fills_the_walls_from_the_data():
     sys_ = wave_system()
-    u0 = sys_.initial_state(lambda x: example1_exact(x, 0.0))
+    u0 = example1_exact(sys_.active_nodes(), 0.0)
     x = sys_.grid.nodes()
     for t in (0.0, 1.5):
         full = sys_.full_state(u0, t)
