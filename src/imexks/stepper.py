@@ -26,8 +26,8 @@ from .system import SemiDiscreteKse
 
 
 class InstabilityError(RuntimeError):
-    """Non-finite values appeared during time stepping; ``max_abs`` is max|u_n|
-    of the state that entered the failing step."""
+    """A step gave non-finite values; ``max_abs`` is max|u_n| of the state
+    that entered it, and :func:`integrate` sets its ``step_index`` and ``time``."""
 
     def __init__(self, message: str, step_index: Optional[int] = None,
                  time: Optional[float] = None, max_abs: Optional[float] = None):
@@ -131,21 +131,14 @@ def step(ws: StepperWorkspace, u_n: np.ndarray, t_n: float) -> np.ndarray:
     if not math.isfinite(t_n):
         raise ValueError(f"time t_n = {t_n} must be finite")
     walls = tuple(map(sys.transformed_wall_term, (t_n, t_n + k / 2, t_n + k)))
-
-    def check_finite(v, label):
-        if not np.isfinite(v).all():
-            raise InstabilityError(f"non-finite values in stage {label}",
-                                   max_abs=float(np.abs(u_n).max()))
-
-    def rhs(i, v):
-        if i:
-            check_finite(v, "abc"[i - 1])
-        return sys.stage_rhs(v, walls[(i + 1) // 2])  # stages a and b share t_n + k/2
-
-    # overflow in a diverging run is caught by the finite checks
+    # stages a and b share t_n + k/2; a non-finite stage value makes its F
+    # non-finite, and every later stage and the update add that F in, so
+    # overflow in a diverging run is caught by the one check of u_{n+1}
     with np.errstate(over="ignore", invalid="ignore"):
-        u_next = _stages(ws.multipliers, u_n, sys.forward(u_n), rhs, sys.inverse)
-    check_finite(u_next, "u")
+        u_next = _stages(ws.multipliers, u_n, sys.forward(u_n),
+                         lambda i, v: sys.stage_rhs(v, walls[(i + 1) // 2]), sys.inverse)
+    if not np.isfinite(u_next).all():
+        raise InstabilityError("non-finite values in u_{n+1}", max_abs=float(np.abs(u_n).max()))
     return u_next
 
 

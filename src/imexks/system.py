@@ -100,10 +100,6 @@ class SemiDiscreteKse:
             f += wall_hat
         return f
 
-    def nonlinear_rhs(self, u: np.ndarray, t: float) -> np.ndarray:
-        """F(U, t) = -1/2 D1 (U * U), plus the wall term when there is wall data."""
-        return self.inverse(self.stage_rhs(self.check_state(u), self.transformed_wall_term(t)))
-
     def full_state(self, u: np.ndarray, t: float) -> np.ndarray:
         """The state on every grid node: Dirichlet walls get the wall data at t."""
         out = np.zeros(self.grid.n_points)

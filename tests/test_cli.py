@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +408,28 @@ def test_main_config_error_exit_code(tmp_path):
     path = _write_config(tmp_path, {"mode": "solve", "problem": 9, "N": 41,
                                     "k": 0.005, "T": 0.05})
     assert cli.main(["--config", path, "--out", str(tmp_path / "out")]) == 2
+
+
+def _run_module(config_path, out):
+    """``python -m imexks`` in a subprocess on the package this test imports."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "imexks", "--config", config_path,
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+
+
+def test_python_dash_m_behaves_like_main(tmp_path):
+    path = _write_config(tmp_path, {"mode": "solve", "problem": 4, "N": 41,
+                                    "k": 0.005, "T": 0.05})
+    assert _run_module(path, tmp_path / "module").returncode == 0
+    assert cli.main(["--config", path, "--out", str(tmp_path / "main")]) == 0
+    module, main = (_strip_timings(json.loads((tmp_path / name / "report.json").read_text()))
+                    for name in ("module", "main"))
+    assert module == main
+    bad = _write_config(tmp_path, {"mode": "solve", "problem": 9, "N": 41,
+                                   "k": 0.005, "T": 0.05}, name="bad.json")
+    assert _run_module(bad, tmp_path / "bad").returncode == 2
 
 
 def test_main_rejects_a_subcommand(tmp_path):

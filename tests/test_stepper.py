@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import dense_operators, step_dense_reference
+from etdrk4 import etdrk4
 from imexks import problems, stepper
 from imexks.compact_fd import BoundaryScheme, Grid
 from imexks.stepper import (
@@ -448,7 +450,7 @@ def test_states_that_are_not_one_dimensional_are_rejected(problem_id, n_points):
     ws = prepare(sys_, 0.25)
     for bad in (np.stack((u, u), axis=1), u[None, :], u[:-1], np.float64(1.0)):
         for call in (lambda: integrate(sys_, bad, 0.25, 0.5), lambda: step(ws, bad, 0.0),
-                     lambda: sys_.nonlinear_rhs(bad, 0.0), lambda: sys_.full_state(bad, 0.0)):
+                     lambda: sys_.full_state(bad, 0.0)):
             with pytest.raises(ValueError, match="state has shape"):
                 call()
 
@@ -498,12 +500,32 @@ def test_non_finite_state_raises_instability():
         step(ws, np.array([np.inf]), 0.0)
 
 
-@pytest.mark.parametrize("n_points,k,stage,step_index", [(32, 2.0, "c", 8), (256, 4.0, "b", 5)])
-def test_genuine_blowup_is_reported_with_step_index(n_points, k, stage, step_index):
+@pytest.mark.parametrize("problem_id, n_points", [(2, 32), (1, 26), (3, 21)])
+@pytest.mark.parametrize("bad_call", [1, 2, 3, 4])
+def test_a_non_finite_f_in_any_stage_is_caught(problem_id, n_points, bad_call):
+    # step checks only u_{n+1}: a NaN in the F of u_n, a, b or c (the 1st to
+    # 4th transport call) must reach it
+    spec = problems.make_problem(problem_id)
+    sys_ = spec.build_system(n_points)
+    calls = []
+
+    def transport(v):
+        calls.append(v)
+        f = sys_.transport(v)
+        return np.full_like(f, np.nan) if len(calls) == bad_call else f
+
+    u_n = spec.initial_state(sys_)
+    with pytest.raises(InstabilityError) as err:
+        step(prepare(dataclasses.replace(sys_, transport=transport), 0.1), u_n, 0.0)
+    assert err.value.max_abs == np.abs(u_n).max()
+
+
+@pytest.mark.parametrize("n_points,k,step_index", [(32, 2.0, 8), (256, 4.0, 5)])
+def test_genuine_blowup_is_reported_with_step_index(n_points, k, step_index):
     spec = problems.make_problem(2)
     sys_ = spec.build_system(n_points)
     u0 = spec.initial_state(sys_)
-    with pytest.raises(InstabilityError, match=f"stage {stage}$") as err:
+    with pytest.raises(InstabilityError, match=r"non-finite values in u_\{n\+1\}$") as err:
         integrate(sys_, u0, k, 80.0)
     assert err.value.step_index == step_index
     assert err.value.time == step_index * k
@@ -540,6 +562,40 @@ def test_example3_is_fourth_order_in_time_past_the_stiff_start():
     e_k = [np.abs(fine - coarse).max() for coarse, fine in zip(finals, finals[1:])]
     orders = np.log2(np.array(e_k[:-1]) / np.array(e_k[1:]))
     assert np.all(orders >= 3.5), orders
+
+
+# ---------------------------------------------------- ETDRK4 as an oracle
+
+
+@pytest.mark.parametrize("problem_id,beta,n_points,k,t_final,bound", [
+    (1, None, 201, 0.003125, 2.0, 1e-11),
+    (3, None, 101, 0.000625, 1.0, 1e-11),
+    (4, problems.TABLE_BETA_PROBLEM4, 41, 0.000625, 1.0, 1e-11),
+    (2, None, 256, 0.0078125, 10.0, 1e-9),
+])
+def test_imex_and_etdrk4_reach_the_same_semi_discrete_solution(problem_id, beta, n_points, k,
+                                                               t_final, bound):
+    # self-differences cannot see convergence to a wrong limit; an exponential
+    # integrator on the same modes, wall data included, can
+    spec = problems.make_problem(problem_id, beta=beta)
+    sys_ = spec.build_system(n_points)
+    u0 = spec.initial_state(sys_)
+    imex = integrate(sys_, u0, k, t_final)
+    assert np.abs(imex - etdrk4(sys_, u0, k, round(t_final / k))).max() <= bound
+
+
+def test_imex_rk4_beats_etdrk4_at_table3s_finest_steps():
+    # table 3's ladder against an IMEX reference at k = 0.0078125: ETDRK4 is
+    # the more accurate at k = 0.25, the paper's scheme at 0.0625 and 0.03125
+    spec = problems.make_problem(2)
+    sys_ = spec.build_system(256)
+    u0 = spec.initial_state(sys_)
+    reference = integrate(sys_, u0, 0.0078125, 10.0)
+    errors = {k: (np.abs(integrate(sys_, u0, k, 10.0) - reference).max(),
+                  np.abs(etdrk4(sys_, u0, k, round(10.0 / k)) - reference).max())
+              for k in (0.25, 0.125, 0.0625, 0.03125)}
+    assert errors[0.25][1] < errors[0.25][0]
+    assert errors[0.0625][0] < errors[0.0625][1] and errors[0.03125][0] < errors[0.03125][1]
 
 
 # ---------------------------------------------------------- scalar analysis
