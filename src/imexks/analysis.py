@@ -169,23 +169,17 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
     leaving = np.stack((inside[jc, ic], inside[jc, ic + 1], inside[jc + 1, ic + 1],
                         inside[jc + 1, ic]), axis=1)
     crossing = edges >= 0
+    # a segment runs from each leaving edge k to the first crossing edge met counter-
+    # clockwise, or to edge k+3 in a saddle cell whose centre sample is outside
+    cell, k = np.nonzero(crossing & leaving)
+    ahead = 1 + np.argmax(crossing[cell[:, None], (k[:, None] + np.arange(1, 4)) % 4], axis=1)
     saddle = crossing.all(axis=1)
-
-    # two crossings: the segment runs from the leaving edge to the entering one
-    two = ~saddle
-    tails = edges[two][crossing[two] & leaving[two]]
-    heads = edges[two][crossing[two] & ~leaving[two]]
-
-    # four crossings: the centre sample decides which corners are cut off; a
-    # leaving edge k pairs with the entering edge k+1 if the centre is in, else k-1
     sj, si = jc[saddle], ic[saddle]
     centre = x_grid[sj, si] + 0.5 * (x_grid[sj + 1, si + 1] - x_grid[sj, si])
-    centre_in = np.abs(scalar_amplification(centre, y)) <= 1.0
-    k_tail = np.where(leaving[saddle, 0], 0, 1)[:, None] + np.array([0, 2])
-    k_head = (k_tail + np.where(centre_in, 1, 3)[:, None]) % 4
-    rows = np.arange(sj.size)[:, None]
-    tails = np.concatenate((tails, edges[saddle][rows, k_tail].ravel()))
-    heads = np.concatenate((heads, edges[saddle][rows, k_head].ravel()))
+    clockwise = saddle.copy()
+    clockwise[saddle] = ~(np.abs(scalar_amplification(centre, y)) <= 1.0)
+    tails = edges[cell, k]
+    heads = edges[cell, (k + np.where(clockwise[cell], 3, ahead)) % 4]
 
     boundary = _link_segments(tails, heads, points)
     return StabilityField(y=y, re_axis=re_axis, im_axis=im_axis, magnitudes=magnitudes,

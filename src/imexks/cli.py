@@ -52,9 +52,7 @@ def _finite(value) -> float:
 
 
 def parse_y_value(raw) -> complex:
-    """Accept plain numbers or strings like '-2', '5i', '-20i'."""
-    if isinstance(raw, (int, float)):
-        return complex(_finite(raw), 0.0)
+    """Accept text like '-2', '5i', '-20i' or '5 j'."""
     text = str(raw).strip().replace(" ", "")
     if text.endswith(("i", "j")):
         body = text[:-1]
@@ -74,17 +72,18 @@ def _floats(value) -> Tuple[float, ...]:
     return tuple(map(_finite, value if isinstance(value, (list, tuple)) else [value]))
 
 
-def _y_tag(label: str) -> str:
-    """The label in the output file names: characters other than letters,
-    digits and ``+-.`` become ``_``."""
-    return "".join(ch if (ch.isalnum() or ch in "+-.") else "_" for ch in label)
+def _shortest(x: float) -> str:
+    """The shortest text that reads back as ``x``, without a trailing ``.0``; -0.0 gives '0'."""
+    return repr(x + 0.0).removesuffix(".0")
 
 
 def _y_labels(value) -> Tuple[str, ...]:
-    labels = tuple(str(v) for v in (value if isinstance(value, (list, tuple)) else [value]))
-    values = set(map(parse_y_value, labels))  # fail fast on malformed entries
-    if len(values) < len(labels) or len(set(map(_y_tag, labels))) < len(labels):
-        raise ValueError(f"two labels name the same y or file tag in {list(labels)}")
+    """Each y as the shortest text of its value, such as '-2' or '5i'."""
+    entries = value if isinstance(value, (list, tuple)) else [value]
+    labels = tuple(f"{_shortest(y.imag)}i" if y.imag else _shortest(y.real)
+                   for y in map(parse_y_value, entries))
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"two entries name the same y in {list(entries)}")
     return labels
 
 
@@ -103,10 +102,10 @@ _KEYS = {"mode": str, "problem": _integer, "N": _integer, "h": _finite, "k": _fi
 # mode -> (required keys, other accepted keys, keys that take a halving list)
 _MODES = {
     "solve": (("problem", "k", "T"), ("N", "h", "snapshots", "beta"), ()),
-    "converge-space-time": (("problem", "h", "k", "T"), ("beta",), ("h", "k")),
+    "converge-space-time": (("problem", "h", "k", "T"), (), ("h", "k")),
     "converge-time": (("problem", "N", "k", "T"), ("beta",), ("k",)),
     "stability": (("y",), ("window", "resolution"), ()),
-    "gre-table": (("problem", "N", "k", "times"), ("beta",), ()),
+    "gre-table": (("problem", "N", "k", "times"), (), ()),
 }
 
 
@@ -296,14 +295,13 @@ def _run_solve(cfg: Mapping, spec: ProblemSpec, out: Path, report: dict):
                                                   cfg.get("snapshots", (t_final,)))
     x_full = sys_.grid.nodes()
     for t_snap in sorted(captured):
-        name = f"field_t{repr(t_snap).removesuffix('.0')}.csv"
+        name = f"field_t{_shortest(t_snap)}.csv"
         np.savetxt(out / name, np.column_stack([x_full, sys_.full_state(captured[t_snap], t_snap)]),
                    delimiter=",", fmt="%.17e", header="x,u", comments="")
         report["outputs"].append(name)
     row = {"n_points": n_points, "h": sys_.grid.h, "k": k, "T": t_final, **timings}
     if spec.exact_solution is not None:
-        row.update(_exact_errors(spec, sys_, u_final, t_final), e_k=None,
-                   observed_order=None, wall_seconds=timings["wall_loop_seconds"])
+        row.update(_exact_errors(spec, sys_, u_final, t_final))
     report["rows"].append(row)
     _write_table(out, report, ["n_points", "h", "k", "T", "max_norm", "gre", "wall_loop_s"], [[
         str(n_points), f"{sys_.grid.h:g}", f"{k:g}", f"{t_final:g}",
@@ -373,9 +371,7 @@ def _run_stability(cfg: Mapping, _spec, out: Path, report: dict):
         field_ = analysis.stability_scan(parse_y_value(label), window=window,
                                          resolution=resolution)
         elapsed = time.perf_counter() - t0
-        tag = _y_tag(label)
-        field_name = f"stability_y{tag}.csv"
-        boundary_name = f"boundary_y{tag}.csv"
+        field_name, boundary_name = f"stability_y{label}.csv", f"boundary_y{label}.csv"
         analysis.write_field_csv(field_, out / field_name)
         analysis.write_boundary_csv(field_, out / boundary_name)
         report["rows"].append({

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,12 +35,6 @@ def test_parse_minimal_solve_config():
         cfg["N"] = 101  # the validated config is read-only
 
 
-def test_non_halving_k_list_rejected():
-    with pytest.raises(ConfigError, match="halve"):
-        config_from_dict({"mode": "converge-time", "problem": 2, "N": 64,
-                          "k": [0.025, 0.01], "T": 1.0})
-
-
 def test_imaginary_y_parses():
     cfg = config_from_dict({"mode": "stability", "y": ["-20i"]})
     assert tuple(map(parse_y_value, cfg["y"])) == (complex(0.0, -20.0),)
@@ -49,54 +44,8 @@ def test_imaginary_y_parses():
     assert parse_y_value("i") == 1j
 
 
-def test_unknown_key_rejected():
-    with pytest.raises(ConfigError, match="unknown config key"):
-        config_from_dict({"mode": "solve", "problem": 1, "N": 26, "k": 0.1, "T": 1, "foo": 3})
-
-
-def test_mode_required():
-    with pytest.raises(ConfigError):
-        config_from_dict({"problem": 1})
-
-
-def test_solve_needs_exactly_one_grid_key():
-    base = {"mode": "solve", "problem": 1, "k": 0.1, "T": 1.0}
-    with pytest.raises(ConfigError):
-        config_from_dict(base)
-    with pytest.raises(ConfigError):
-        config_from_dict({**base, "N": 26, "h": 4.0})
-
-
-def test_T_must_be_step_multiple():
-    with pytest.raises(ConfigError, match="integer multiple"):
-        config_from_dict({"mode": "solve", "problem": 1, "N": 26, "k": 0.3, "T": 1.0})
-
-
-def test_beta_restricted_to_problem_4():
-    with pytest.raises(ConfigError, match="beta"):
-        config_from_dict({"mode": "solve", "problem": 2, "N": 64, "k": 0.25,
-                          "T": 1.0, "beta": 0.2})
-
-
-def test_space_time_mode_needs_exact_solution_problem():
-    with pytest.raises(ConfigError):
-        config_from_dict({"mode": "converge-space-time", "problem": 3,
-                          "h": [2.0, 1.0], "k": [0.1, 0.05], "T": 1.0})
-
-
-def test_gre_times_must_increase():
-    with pytest.raises(ConfigError, match="increasing"):
-        config_from_dict({"mode": "gre-table", "problem": 1, "N": 26, "k": 0.5,
-                          "times": [2.0, 1.0]})
-
-
-def test_stability_rejects_problem_keys():
-    with pytest.raises(ConfigError):
-        config_from_dict({"mode": "stability", "y": ["-2"], "problem": 1})
-
-
-# configs that reach the library before they are rejected would fail there
-# with a traceback instead of a config error: (config, expected message)
+# (config, expected message); main refuses each with exit code 2 and no traceback,
+# also those that reach the library's own checks before they are rejected
 INVALID_CONFIGS = [
     ({"mode": "solve", "problem": 1, "h": 3.0, "k": 0.1, "T": 1.0}, "does not divide"),
     # below the smallest grids the operators are built on
@@ -147,6 +96,20 @@ INVALID_CONFIGS = [
      "snapshot time"),
     ({"mode": "solve", "problem": 1, "N": 26, "k": 0.25, "T": 1.0, "snapshots": [0.3]},
      "snapshot time"),
+    ({"mode": "converge-time", "problem": 2, "N": 64, "k": [0.025, 0.01], "T": 1.0}, "halve"),
+    ({"mode": "solve", "problem": 1, "N": 26, "k": 0.1, "T": 1, "foo": 3}, "unknown config key"),
+    ({"problem": 1}, "requires a mode"),
+    ({"mode": "solve", "problem": 1, "k": 0.1, "T": 1.0}, "exactly one of N or h"),
+    ({"mode": "solve", "problem": 1, "k": 0.1, "T": 1.0, "N": 26, "h": 4.0},
+     "exactly one of N or h"),
+    ({"mode": "solve", "problem": 1, "N": 26, "k": 0.3, "T": 1.0}, "integer multiple"),
+    ({"mode": "solve", "problem": 2, "N": 64, "k": 0.25, "T": 1.0, "beta": 0.2},
+     "only available for problem 4"),
+    ({"mode": "converge-space-time", "problem": 3, "h": [2.0, 1.0], "k": [0.1, 0.05],
+      "T": 1.0}, "requires the problem with an exact solution"),
+    ({"mode": "gre-table", "problem": 1, "N": 26, "k": 0.5, "times": [2.0, 1.0]}, "increasing"),
+    ({"mode": "stability", "y": ["-2"], "problem": 1}, "does not accept 'problem'"),
+    ({"mode": "stability", "y": ["0", "-0"]}, "same y"),
 ]
 
 
@@ -173,10 +136,9 @@ VALID_VALUES = {"problem": 1, "N": 26, "h": 4.0, "k": 0.1, "T": 1.0, "snapshots"
 # mode -> (a valid config with the required keys only, the other keys it accepts)
 MODE_KEYS = {
     "solve": ({"problem": 1, "N": 26, "k": 0.1, "T": 1.0}, {"h", "snapshots", "beta"}),
-    "converge-space-time": ({"problem": 1, "h": [4.0, 2.0], "k": [0.1, 0.05], "T": 1.0},
-                            {"beta"}),
+    "converge-space-time": ({"problem": 1, "h": [4.0, 2.0], "k": [0.1, 0.05], "T": 1.0}, set()),
     "converge-time": ({"problem": 2, "N": 64, "k": [0.25, 0.125], "T": 1.0}, {"beta"}),
-    "gre-table": ({"problem": 1, "N": 26, "k": 0.5, "times": [1.0]}, {"beta"}),
+    "gre-table": ({"problem": 1, "N": 26, "k": 0.5, "times": [1.0]}, set()),
     "stability": ({"y": ["-2"]}, {"window", "resolution"}),
 }
 REFUSED_KEYS = [(mode, key) for mode, (base, other) in MODE_KEYS.items()
@@ -232,11 +194,19 @@ def test_config_roundtrip(data):
     assert config_from_dict(json.loads(serialize_config(cfg))) == cfg
 
 
-@settings(max_examples=40, deadline=None)
-@given(value=st.floats(-100.0, 100.0, allow_nan=False).filter(lambda v: abs(v) > 1e-6))
+@settings(max_examples=60, deadline=None)
+@given(value=st.floats(allow_nan=False, allow_infinity=False))
 def test_y_label_roundtrip(value):
-    label = f"{value:g}i"
-    assert parse_y_value(label) == pytest.approx(complex(0.0, float(f"{value:g}")))
+    """A label parses to its entry's value, uses only digits and .e+-i, and is its own label."""
+    entries = [(repr(value), complex(value, 0.0)),
+               (f"{value:g}i", complex(0.0, float(f"{value:g}"))),
+               (f" {value} i", complex(0.0, value)),
+               (f"+{abs(value)}j", complex(0.0, abs(value)))]
+    for entry, y in entries:
+        (label,) = cli._y_labels([entry])
+        assert parse_y_value(label) == y
+        assert re.fullmatch(r"-?[0-9.e+-]+i?", label)
+        assert cli._y_labels([label]) == (label,)
 
 
 def test_apply_overrides_parses_values():
@@ -286,7 +256,8 @@ def test_solve_reports_go_through_json(tmp_path):
     # h = 4 grid: coarse spatial error dominates but stays small over T = 0.1
     assert row["max_norm"] < 1e-2
     assert row["gre"] < 1e-3
-    assert "wall_loop_seconds" in row
+    assert row.keys() == {"n_points", "h", "k", "T", "wall_loop_seconds", "wall_total_seconds",
+                          "max_norm", "gre"}
 
 
 def test_reports_are_deterministic_modulo_timings(tmp_path):
@@ -334,12 +305,13 @@ def test_gre_table_run_includes_literature(tmp_path):
 
 
 def test_stability_run_writes_labeled_files(tmp_path):
-    cfg = config_from_dict({"mode": "stability", "y": ["-2", "5i"],
+    cfg = config_from_dict({"mode": "stability", "y": ["-2.0", "5 i"],
                             "window": [-6.0, 3.0, -6.0, 6.0], "resolution": 32})
     report = cli.run(cfg, tmp_path)
     for name in ("stability_y-2.csv", "boundary_y-2.csv",
                  "stability_y5i.csv", "boundary_y5i.csv"):
         assert (tmp_path / name).exists()
+    assert [row["y"] for row in report["rows"]] == ["-2", "5i"]
     assert report["rows"][0]["area"] > 0
 
 
