@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -46,6 +47,9 @@ def observed_order(e_coarse: float, e_fine: float) -> float:
 DEFAULT_WINDOW = (-8.0, 4.0, -8.0, 8.0)
 DEFAULT_RESOLUTION = 512
 BISECTION_STEPS = 48
+# samples per sampling call of a scan: bounds the stage temporaries of
+# scalar_amplification near 5 MB at any resolution, for 8 calls at 512 x 512
+_SAMPLES_PER_CALL = 1 << 15
 
 
 @dataclass(eq=False)
@@ -117,6 +121,8 @@ def scan_axes(window: tuple, resolution: int) -> Tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"the window {window} must be finite")
     if not (re_max > re_min and im_max > im_min):
         raise ValueError(f"window {window} must satisfy re_min < re_max and im_min < im_max")
+    if not isinstance(resolution, numbers.Integral) or isinstance(resolution, bool):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 16:
         raise ValueError(f"resolution must be at least 16 samples per axis, got {resolution}")
     return np.linspace(re_min, re_max, resolution), np.linspace(im_min, im_max, resolution)
@@ -125,6 +131,11 @@ def scan_axes(window: tuple, resolution: int) -> Tuple[np.ndarray, np.ndarray]:
 def stability_scan(y, window: tuple = DEFAULT_WINDOW,
                    resolution: int = DEFAULT_RESOLUTION) -> StabilityField:
     """Sample |r(x, y)| on the window and extract the |r| = 1 level set.
+
+    The samples are evaluated in blocks of whole rows, about
+    ``_SAMPLES_PER_CALL`` points each, so the stage temporaries of r take
+    bounded memory and the scan's working memory is the field plus about 10
+    bytes per sample of masks and edge tables.
 
     Marching squares over the sample grid: every grid edge whose two samples
     lie on different sides of |r| = 1 is a crossing edge.  Each crossing edge
@@ -141,8 +152,17 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
     if not np.isfinite(y):
         raise ValueError(f"y = {y} must be finite")
     re_axis, im_axis = scan_axes(window, resolution)
-    x_grid = re_axis[None, :] + 1j * im_axis[:, None]
-    magnitudes = np.abs(scalar_amplification(x_grid, y))
+    # blocks of `rows` rows, the rows left over joining the last: each block then has
+    # at least 16384 samples (256 KiB) if the grid has, the size from which numpy
+    # computes `x * temporary` in place with its operands swapped, which rounds
+    # differently; so the samples are bit-identical to one call on the whole grid
+    rows = max(1, _SAMPLES_PER_CALL // resolution)
+    blocks = np.split(im_axis, range(rows, resolution - rows + 1, rows))
+    magnitudes = np.concatenate([np.abs(scalar_amplification(re_axis + 1j * im[:, None], y))
+                                 for im in blocks])
+
+    def x_at(j, i):  # the sample points re_axis[i] + i im_axis[j], as the blocks build them
+        return re_axis[i] + 1j * im_axis[j]
 
     inside = magnitudes <= 1.0
     cross_h = inside[:, :-1] != inside[:, 1:]  # edge (j, i)-(j, i+1)
@@ -155,8 +175,8 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
     edge_v = np.full(cross_v.shape, -1, dtype=np.int32)
     edge_v[jv, iv] = np.arange(n_h, n_h + jv.size, dtype=np.int32)
 
-    first = np.concatenate((x_grid[jh, ih], x_grid[jv, iv]))
-    second = np.concatenate((x_grid[jh, ih + 1], x_grid[jv + 1, iv]))
+    first = np.concatenate((x_at(jh, ih), x_at(jv, iv)))
+    second = np.concatenate((x_at(jh, ih + 1), x_at(jv + 1, iv)))
     first_in = np.concatenate((inside[jh, ih], inside[jv, iv]))
     points = _bisect_crossings(y, np.where(first_in, first, second),
                                np.where(first_in, second, first))
@@ -175,7 +195,7 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
     ahead = 1 + np.argmax(crossing[cell[:, None], (k[:, None] + np.arange(1, 4)) % 4], axis=1)
     saddle = crossing.all(axis=1)
     sj, si = jc[saddle], ic[saddle]
-    centre = x_grid[sj, si] + 0.5 * (x_grid[sj + 1, si + 1] - x_grid[sj, si])
+    centre = x_at(sj, si) + 0.5 * (x_at(sj + 1, si + 1) - x_at(sj, si))
     clockwise = saddle.copy()
     clockwise[saddle] = ~(np.abs(scalar_amplification(centre, y)) <= 1.0)
     tails = edges[cell, k]

@@ -380,6 +380,7 @@ def _run_stability(cfg: Mapping, _spec, out: Path, report: dict):
             "n_boundary_polylines": len(field_.boundary), "wall_seconds": elapsed,
         })
         report["outputs"].extend([field_name, boundary_name])
+        del field_  # so the next scan does not run with this field still held
 
 
 _RUNNERS = {"solve": _run_solve, "converge-space-time": _run_converge,

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,9 @@ def test_scan_resolution_guard():
         stability_scan(math.nan)
     with pytest.raises(ValueError, match="must be finite"):
         stability_scan(0.0, window=(-math.inf, 4.0, -8.0, 8.0))
+    for resolution in (512.0, 100.5, True):
+        with pytest.raises(ValueError, match=f"integer, got {resolution!r}"):
+            stability_scan(0.0, resolution=resolution)
 
 
 def test_boundary_polylines_are_chained():
@@ -392,6 +396,34 @@ def test_scan_amplification_calls_do_not_grow_with_resolution(monkeypatch):
         counts[resolution] = 0
         stability_scan(-5j, window=(-15.0, 12.0, -16.0, 16.0), resolution=resolution)
     assert counts[256] <= counts[64] <= 50
+
+
+def test_scan_memory_does_not_scale_with_the_stage_temporaries():
+    tracemalloc.start()
+    try:
+        field = stability_scan(-20j, window=(-15.0, 12.0, -16.0, 16.0), resolution=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * field.magnitudes.nbytes
+
+
+def test_scan_blocks_give_the_magnitudes_of_one_call(monkeypatch):
+    y, window, resolution = -5j, (-15.0, 12.0, -16.0, 16.0), 37
+    block_rows = []
+
+    def counted(x, y_):
+        if np.ndim(x) == 2:
+            block_rows.append(np.shape(x)[0])
+        return scalar_amplification(x, y_)
+
+    monkeypatch.setattr(analysis, "_SAMPLES_PER_CALL", 5 * resolution)
+    monkeypatch.setattr(analysis, "scalar_amplification", counted)
+    field = stability_scan(y, window=window, resolution=resolution)
+    assert block_rows == [5] * 6 + [7]  # the 2 rows left over join the last block
+    re_axis, im_axis = analysis.scan_axes(window, resolution)
+    x_grid = re_axis[None, :] + 1j * im_axis[:, None]
+    assert np.array_equal(field.magnitudes, np.abs(scalar_amplification(x_grid, y)))
 
 
 # ------------------------------------------------------------------ output

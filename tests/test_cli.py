@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imexks import cli, problems, stepper
+from imexks import analysis, cli, problems, stepper
 from imexks.cli import (
     ConfigError,
     apply_overrides,
@@ -313,6 +314,23 @@ def test_stability_run_writes_labeled_files(tmp_path):
         assert (tmp_path / name).exists()
     assert [row["y"] for row in report["rows"]] == ["-2", "5i"]
     assert report["rows"][0]["area"] > 0
+
+
+def test_stability_run_releases_each_field_before_the_next_scan(tmp_path, monkeypatch):
+    cfg = config_from_dict({"mode": "stability", "y": ["-2", "5i", "0"],
+                            "window": [-6.0, 3.0, -6.0, 6.0], "resolution": 32})
+    scan = analysis.stability_scan
+    fields = []
+
+    def tracked(*args, **kwargs):
+        assert all(ref() is None for ref in fields), "a previous field is still alive"
+        field = scan(*args, **kwargs)
+        fields.append(weakref.ref(field))
+        return field
+
+    monkeypatch.setattr(analysis, "stability_scan", tracked)
+    cli.run(cfg, tmp_path)
+    assert len(fields) == 3
 
 
 def test_snapshot_times_that_share_six_digits_write_two_files(tmp_path, monkeypatch):
