@@ -70,7 +70,7 @@ class StabilityField:
     def area(self) -> float:
         """Grid-cell estimate of the |r| <= 1 area inside the window."""
         cell = (self.re_axis[1] - self.re_axis[0]) * (self.im_axis[1] - self.im_axis[0])
-        return float(np.sum(self.magnitudes <= 1.0)) * cell
+        return float(np.sum(self.magnitudes <= 1.0) * cell)
 
 
 def _bisect_crossings(y: complex, p_in: np.ndarray, p_out: np.ndarray) -> np.ndarray:
@@ -134,8 +134,8 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
 
     The samples are evaluated in blocks of whole rows, about
     ``_SAMPLES_PER_CALL`` points each, so the stage temporaries of r take
-    bounded memory and the scan's working memory is the field plus about 10
-    bytes per sample of masks and edge tables.
+    bounded memory and the scan's working memory is the field plus a few
+    bytes per sample of boolean masks.
 
     Marching squares over the sample grid: every grid edge whose two samples
     lie on different sides of |r| = 1 is a crossing edge.  Each crossing edge
@@ -167,13 +167,17 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
     inside = magnitudes <= 1.0
     cross_h = inside[:, :-1] != inside[:, 1:]  # edge (j, i)-(j, i+1)
     cross_v = inside[:-1, :] != inside[1:, :]  # edge (j, i)-(j+1, i)
-    jh, ih = np.nonzero(cross_h)
-    jv, iv = np.nonzero(cross_v)
-    n_h = jh.size
-    edge_h = np.full(cross_h.shape, -1, dtype=np.int32)
-    edge_h[jh, ih] = np.arange(n_h, dtype=np.int32)
-    edge_v = np.full(cross_v.shape, -1, dtype=np.int32)
-    edge_v[jv, iv] = np.arange(n_h, n_h + jv.size, dtype=np.int32)
+    # crossing edges are numbered h edges first, each kind in row-major order; edge_h
+    # and edge_v number only crossing edges (any other edge's number goes unused)
+    flat_h, flat_v = np.flatnonzero(cross_h), np.flatnonzero(cross_v)
+    jh, ih = np.divmod(flat_h, resolution - 1)
+    jv, iv = np.divmod(flat_v, resolution)
+
+    def edge_h(j, i):  # the number of crossing edge (j, i)-(j, i+1)
+        return np.searchsorted(flat_h, j * (resolution - 1) + i)
+
+    def edge_v(j, i):  # the number of crossing edge (j, i)-(j+1, i)
+        return flat_h.size + np.searchsorted(flat_v, j * resolution + i)
 
     first = np.concatenate((x_at(jh, ih), x_at(jv, iv)))
     second = np.concatenate((x_at(jh, ih + 1), x_at(jv + 1, iv)))
@@ -184,11 +188,12 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
     # cells (j, i) with a crossing; edge k runs counter-clockwise from corner k:
     # bottom, right, top, left from corners (j, i), (j, i+1), (j+1, i+1), (j+1, i)
     jc, ic = np.nonzero(cross_h[:-1] | cross_h[1:] | cross_v[:, :-1] | cross_v[:, 1:])
-    edges = np.stack((edge_h[jc, ic], edge_v[jc, ic + 1], edge_h[jc + 1, ic], edge_v[jc, ic]), axis=1)
+    edges = np.stack((edge_h(jc, ic), edge_v(jc, ic + 1), edge_h(jc + 1, ic), edge_v(jc, ic)), axis=1)
+    crossing = np.stack((cross_h[jc, ic], cross_v[jc, ic + 1], cross_h[jc + 1, ic],
+                         cross_v[jc, ic]), axis=1)
     # a crossing edge k leaves the |r| <= 1 region exactly when corner k is inside
     leaving = np.stack((inside[jc, ic], inside[jc, ic + 1], inside[jc + 1, ic + 1],
                         inside[jc + 1, ic]), axis=1)
-    crossing = edges >= 0
     # a segment runs from each leaving edge k to the first crossing edge met counter-
     # clockwise, or to edge k+3 in a saddle cell whose centre sample is outside
     cell, k = np.nonzero(crossing & leaving)

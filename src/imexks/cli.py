@@ -5,15 +5,19 @@ mode alone picks what runs: ``solve`` (one run, field snapshots, errors when
 an exact solution exists), ``converge-space-time`` and ``converge-time``
 (refinement studies), ``gre-table`` (global relative errors against the
 published comparisons) or ``stability`` (amplification-factor scans and
-|r| = 1 boundaries).  Exit codes: 0 success, 2 config error, 3 numerical
-instability, 4 I/O error.
+|r| = 1 boundaries).  Stability mode scans its y values in worker processes,
+one task per y and up to the CPUs this process may use, or in this process
+when only one task would run at a time.  Exit codes: 0 success, 2 config
+error, 3 numerical instability, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -363,24 +367,69 @@ def _run_gre_table(cfg: Mapping, spec: ProblemSpec, out: Path, report: dict):
                                "gre_qbsc_literature", "gre_lbm_literature"], rows_csv)
 
 
-def _run_stability(cfg: Mapping, _spec, out: Path, report: dict):
-    window = cfg.get("window", analysis.DEFAULT_WINDOW)
-    resolution = cfg.get("resolution", analysis.DEFAULT_RESOLUTION)
-    for label in cfg["y"]:
-        t0 = time.perf_counter()
-        field_ = analysis.stability_scan(parse_y_value(label), window=window,
-                                         resolution=resolution)
-        elapsed = time.perf_counter() - t0
-        field_name, boundary_name = f"stability_y{label}.csv", f"boundary_y{label}.csv"
-        analysis.write_field_csv(field_, out / field_name)
-        analysis.write_boundary_csv(field_, out / boundary_name)
-        report["rows"].append({
-            "y": label, "window": list(window), "resolution": resolution,
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _stability_files(label: str) -> Tuple[str, str]:
+    """The field and boundary CSV names of one y."""
+    return f"stability_y{label}.csv", f"boundary_y{label}.csv"
+
+
+def _scan_to_files(label: str, window: tuple, resolution: int, out: Path) -> dict:
+    """Scan one y, write its two CSVs and return its report row, all plain values."""
+    t0 = time.perf_counter()
+    field_ = analysis.stability_scan(parse_y_value(label), window=window, resolution=resolution)
+    t1 = time.perf_counter()
+    field_name, boundary_name = _stability_files(label)
+    analysis.write_field_csv(field_, out / field_name)
+    analysis.write_boundary_csv(field_, out / boundary_name)
+    return {"y": label, "window": list(window), "resolution": resolution,
             "area": field_.area(), "empty": field_.is_empty,
-            "n_boundary_polylines": len(field_.boundary), "wall_seconds": elapsed,
-        })
-        report["outputs"].extend([field_name, boundary_name])
-        del field_  # so the next scan does not run with this field still held
+            "n_boundary_polylines": len(field_.boundary), "wall_seconds": t1 - t0,
+            "wall_write_seconds": time.perf_counter() - t1}
+
+
+def _map_in_workers(task, items, workers: int):
+    """``map(task, items)`` in ``workers`` processes, the results in order of ``items``.
+
+    At most ``workers`` tasks run at once, and none starts once one has failed.
+    The results up to the first failure are yielded, then its error is raised
+    after every task still running has ended, and no worker outlives the call.
+    """
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+    # the platform's start method: fork on Linux up to Python 3.13, so a worker starts
+    # with imexks already imported; a spawned one imports it afresh, which made four
+    # 512 x 512 scans on two CPUs take 1.5 s instead of 1.1 s
+    with ProcessPoolExecutor(workers) as pool:
+        futures = []
+        for item in items:
+            running = [future for future in futures if not future.done()]
+            if len(running) == workers:
+                wait(running, return_when=FIRST_COMPLETED)
+            if any(future.done() and future.exception() for future in futures):
+                break
+            futures.append(pool.submit(task, item))
+        for future in futures:
+            yield future.result()
+
+
+def _run_stability(cfg: Mapping, _spec, out: Path, report: dict):
+    """One task per y: a worker process each, up to the usable CPUs, or in this
+    process when only one would run, so that no process is started for nothing."""
+    labels = cfg["y"]
+    task = functools.partial(_scan_to_files, window=cfg.get("window", analysis.DEFAULT_WINDOW),
+                             resolution=cfg.get("resolution", analysis.DEFAULT_RESOLUTION),
+                             out=out)
+    workers = min(len(labels), _usable_cpus())
+    rows = map(task, labels) if workers == 1 else _map_in_workers(task, labels, workers)
+    for row in rows:
+        report["rows"].append(row)
+        report["outputs"].extend(_stability_files(row["y"]))
 
 
 _RUNNERS = {"solve": _run_solve, "converge-space-time": _run_converge,

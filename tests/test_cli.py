@@ -1,8 +1,11 @@
 import json
+import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -329,8 +332,120 @@ def test_stability_run_releases_each_field_before_the_next_scan(tmp_path, monkey
         return field
 
     monkeypatch.setattr(analysis, "stability_scan", tracked)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # every scan in this process
     cli.run(cfg, tmp_path)
     assert len(fields) == 3
+
+
+def _plain(value) -> bool:
+    if isinstance(value, dict):
+        return all(isinstance(key, str) and _plain(val) for key, val in value.items())
+    if isinstance(value, list):
+        return all(map(_plain, value))
+    return type(value) in (str, int, float, bool)
+
+
+def test_stability_workers_hand_the_parent_plain_rows_only(tmp_path, monkeypatch):
+    cfg = config_from_dict({"mode": "stability", "y": ["-2", "5i", "0"],
+                            "window": [-6.0, 3.0, -6.0, 6.0], "resolution": 32})
+    scan = analysis.stability_scan
+    in_parent = os.getpid()
+    fields = []
+
+    def tracked(*args, **kwargs):
+        if os.getpid() == in_parent:
+            fields.append(None)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "stability_scan", tracked)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    report = cli.run(cfg, tmp_path)
+    assert fields == []  # no field is made, nor held, in this process
+    assert [row["y"] for row in report["rows"]] == ["-2", "5i", "0"]
+    assert all(_plain(row) for row in report["rows"])
+
+
+def test_stability_workers_write_the_files_of_one_process(tmp_path, monkeypatch):
+    labels = ["-20i", "-2", "5i"]
+    window, resolution = (-15.0, 12.0, -16.0, 16.0), 64
+    cfg = config_from_dict({"mode": "stability", "y": labels, "window": list(window),
+                            "resolution": resolution})
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    pooled = cli.run(cfg, tmp_path / "pool")
+    assert [row["y"] for row in pooled["rows"]] == labels
+    assert pooled["outputs"] == [f"{kind}_y{label}.csv" for label in labels
+                                 for kind in ("stability", "boundary")]
+    for label in labels:
+        field = analysis.stability_scan(parse_y_value(label), window=window,
+                                        resolution=resolution)
+        analysis.write_field_csv(field, tmp_path / "field.csv")
+        analysis.write_boundary_csv(field, tmp_path / "boundary.csv")
+        assert ((tmp_path / "pool" / f"stability_y{label}.csv").read_bytes()
+                == (tmp_path / "field.csv").read_bytes())
+        assert ((tmp_path / "pool" / f"boundary_y{label}.csv").read_bytes()
+                == (tmp_path / "boundary.csv").read_bytes())
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert _strip_timings(cli.run(cfg, tmp_path / "one")) == _strip_timings(pooled)
+
+
+def test_stability_task_and_row_survive_pickle(tmp_path):
+    # what a worker started by spawn or forkserver, not only by fork, receives and returns
+    args = ("5i", (-6.0, 3.0, -6.0, 6.0), 32, tmp_path)
+    assert pickle.loads(pickle.dumps(cli._scan_to_files)) is cli._scan_to_files
+    assert pickle.loads(pickle.dumps(args)) == args
+    row = cli._scan_to_files(*args)
+    assert pickle.loads(pickle.dumps(row)) == row and _plain(row)
+    assert row["wall_seconds"] >= 0 and row["wall_write_seconds"] >= 0
+
+
+def test_stability_worker_count_follows_the_affinity_mask(monkeypatch):
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    assert cli._usable_cpus() == 1
+
+
+def test_stability_failure_in_a_worker_stops_the_run(tmp_path, monkeypatch):
+    path = _write_config(tmp_path, {"mode": "stability", "y": ["-2", "5i", "0"],
+                                    "window": [-6.0, 3.0, -6.0, 6.0], "resolution": 32})
+    out = tmp_path / "out"
+    (out / "stability_y5i.csv").mkdir(parents=True)  # the 5i field cannot be written
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert cli.main(["--config", path, "--out", str(out)]) == 4
+    report = json.loads((out / "report.json").read_text())
+    assert [row["y"] for row in report["rows"]] == ["-2"]
+    assert report["outputs"] == ["stability_y-2.csv", "boundary_y-2.csv"]
+    assert multiprocessing.active_children() == []
+
+
+def test_stability_no_y_starts_once_a_worker_has_failed(tmp_path, monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched scan reaches the workers only when they are forked")
+    scan = analysis.stability_scan
+
+    def patched(y, **kwargs):
+        if y == 5j:
+            raise OSError("no room for this field")
+        time.sleep(0.5)  # -2 is still running when 5i fails
+        return scan(y, **kwargs)
+
+    monkeypatch.setattr(analysis, "stability_scan", patched)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    cfg = config_from_dict({"mode": "stability", "y": ["-2", "5i", "0"],
+                            "window": [-6.0, 3.0, -6.0, 6.0], "resolution": 32})
+    with pytest.raises(OSError, match="no room"):
+        cli.run(cfg, tmp_path)
+    # -2, running when 5i failed, ends and writes its files; 0 never starts
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "boundary_y-2.csv", "report.json", "stability_y-2.csv"]
+
+
+def test_importing_the_cli_starts_no_process_machinery():
+    code = "import sys, imexks.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=package_root))
+    assert out.stdout.strip() == "[]"
 
 
 def test_snapshot_times_that_share_six_digits_write_two_files(tmp_path, monkeypatch):
