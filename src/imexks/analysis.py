@@ -157,9 +157,10 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
     # computes `x * temporary` in place with its operands swapped, which rounds
     # differently; so the samples are bit-identical to one call on the whole grid
     rows = max(1, _SAMPLES_PER_CALL // resolution)
-    blocks = np.split(im_axis, range(rows, resolution - rows + 1, rows))
-    magnitudes = np.concatenate([np.abs(scalar_amplification(re_axis + 1j * im[:, None], y))
-                                 for im in blocks])
+    bounds = [0, *range(rows, resolution - rows + 1, rows), resolution]
+    magnitudes = np.empty((resolution, resolution))
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.abs(scalar_amplification(re_axis + 1j * im_axis[lo:hi, None], y), out=magnitudes[lo:hi])
 
     def x_at(j, i):  # the sample points re_axis[i] + i im_axis[j], as the blocks build them
         return re_axis[i] + 1j * im_axis[j]
@@ -211,20 +212,92 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
                           boundary=boundary)
 
 
+def _decade_start(e: int) -> float:
+    """The least float64 >= 10^e."""
+    x = float(f"1e{e}")
+    n, d = x.as_integer_ratio()
+    return x if n * 10 ** max(-e, 0) >= d * 10 ** max(e, 0) else math.nextafter(x, math.inf)
+
+
+# `%.17e` in integer arithmetic (see write_field_csv): where the decades 10^-10..10^18
+# start, 5^k < 2^63 for k <= 27, and the ASCII texts of three digits and of exponents
+_DECADES = np.array([_decade_start(e) for e in range(-10, 19)])
+_POW5 = np.array([5 ** k for k in range(28)], dtype=np.uint64)
+_DIGITS3 = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+_EXPONENTS = np.frombuffer("".join(f"e{e:+03d}" for e in range(-11, 19)).encode(), np.uint8)
+
+
+def _e17_records(values: np.ndarray):
+    """``%.17e`` of each float64 of a 1-D array as 23 ASCII bytes, and where they are exact."""
+    e = np.searchsorted(_DECADES, values, side="right") - 11  # 10^e <= v < 10^(e+1)
+    bits = values.view(np.uint64)
+    k, m = 17 - e, (bits & ((1 << 52) - 1)) | (1 << 52)
+    shift = 1075 - (bits >> 52).astype(np.int64) - k  # -(E + k), E = biased exponent - 1075
+    exact = (k <= 27) & (shift > 0)  # so k >= 0 (v < 1e18) and shift <= 59 (v >= 1e-10)
+    f, s = _POW5[np.clip(k, 0, 27)], np.clip(shift, 1, 63).astype(np.uint64)
+    m1, m0, f1, f0 = m >> 32, m & 0xFFFFFFFF, f >> 32, f & 0xFFFFFFFF
+    low = m0 * f0
+    mid = m1 * f0 + m0 * f1 + (low >> 32)  # < 2^53 + 2^63 + 2^32
+    high = m1 * f1 + (mid >> 32)  # m 5^k = high 2^64 + low
+    low = (low & 0xFFFFFFFF) | (mid << 32)
+    digits = (high << (64 - s)) | (low >> s)
+    rest, half = low & ((1 << s) - 1), 1 << (s - 1)
+    digits += (rest > half) | ((rest == half) & (digits & 1 == 1))
+    groups = np.empty((len(values), 6), np.intp)
+    for g in range(5, -1, -1):
+        digits, groups[:, g] = np.divmod(digits, 1000)
+    text = np.take(_DIGITS3, groups, axis=0).reshape(-1, 18)
+    records = np.empty((len(values), 23), np.uint8)
+    records[:, 0], records[:, 1], records[:, 2:19] = text[:, 0], ord("."), text[:, 1:]
+    records[:, 19:] = np.take(_EXPONENTS.reshape(-1, 4), e + 11, axis=0)
+    return records, exact
+
+
 def write_field_csv(stability_field: StabilityField, path):
     """Flatten the sampled field to rows of (re_x, im_x, abs_r).
 
     The file is byte for byte what ``np.savetxt`` writes for the stacked
     columns with ``fmt="%.17e"``, header ``re_x,im_x,abs_r`` and no comment
-    prefix.  Each axis value is formatted once; per row of the field only the
-    magnitudes are.
+    prefix.  Each axis value is formatted once.  The magnitudes go in blocks
+    of whole rows, about ``_SAMPLES_PER_CALL`` samples each: a row's text is
+    a template of its axis texts with 23 bytes left before each newline,
+    into which the magnitudes' records from ``_e17_records`` are copied.
+
+    Those records are Python's correctly rounded ``%.17e`` in integer
+    arithmetic.  A positive normal float64 is v = m 2^E with m < 2^53.  Its
+    decade e, 10^e <= v < 10^(e+1), is found among the least float64 at or
+    above each of 10^-10..10^18.  With k = 17 - e the text is the 18 digits
+    of D = round-half-even(m 5^k 2^(E+k)) and the exponent e.  For
+    0 <= k <= 27, 5^k < 2^63, so m 5^k < 2^116 is formed exactly in two
+    64-bit words of 32-bit limb products (each below 2^64), and for a right
+    shift s = -(E + k) in (0, 64) the floor and the remainder that decides
+    the rounding are exact too.  D stays below 10^18, since no float64 in
+    [1e-10, 1e18) lies within 5e-19 of the next power of ten.  This covers
+    every v in [1e-10, 1e14).  A row holding any other value (0, negatives,
+    subnormals, larger or smaller values, inf or nan) is formatted by
+    Python's ``%`` instead.
     """
-    row_template = "".join(f"{re:.17e},{{im}},%.17e\n"
-                           for re in stability_field.re_axis.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("re_x,im_x,abs_r\n")
-        for im, row in zip(stability_field.im_axis.tolist(), stability_field.magnitudes):
-            fh.write(row_template.replace("{im}", f"{im:.17e}") % tuple(row.tolist()))
+    magnitudes = np.asarray(stability_field.magnitudes, dtype=float)
+    template = "".join(f"{re:.17e},{{im}},%.17e\n" for re in stability_field.re_axis.tolist())
+    by_python = template.encode().split(b"{im}")
+    by_records = template.replace("%.17e", "0" * 23).encode().split(b"{im}")
+    rows = max(1, _SAMPLES_PER_CALL // max(1, magnitudes.shape[1]))
+    with open(path, "wb") as fh:
+        fh.write(b"re_x,im_x,abs_r\n")
+        for lo in range(0, len(magnitudes), rows):
+            block = magnitudes[lo:lo + rows]
+            records, exact = _e17_records(block.ravel())
+            fast = exact.reshape(block.shape).all(axis=1)
+            text = bytearray().join(
+                f"{im:.17e}".encode().join(by_records) if ok
+                else f"{im:.17e}".encode().join(by_python) % tuple(row.tolist())
+                for im, row, ok in zip(stability_field.im_axis[lo:lo + rows].tolist(), block, fast))
+            # each line's record ends at its newline; write them through a view of
+            # 23-byte items that start at every byte
+            ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")).reshape(block.shape)
+            items = np.ndarray((max(len(text) - 22, 0),), dtype="V23", buffer=text, strides=(1,))
+            items[ends[fast].ravel() - 23] = records.view("V23").reshape(block.shape)[fast].ravel()
+            fh.write(text)
 
 
 def write_boundary_csv(stability_field: StabilityField, path):

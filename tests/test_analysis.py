@@ -399,9 +399,9 @@ def test_scan_amplification_calls_do_not_grow_with_resolution(monkeypatch):
 
 
 def test_scan_memory_does_not_scale_with_the_stage_temporaries():
-    # at 1024 x 1024 the stage temporaries are a small share: the peak is the
-    # field twice (the sampled blocks and their concatenation), no edge tables
-    for resolution, fields in ((512, 4), (1024, 2.25)):
+    # at 1024 x 1024 the peak is the field, filled block by block, plus one block's
+    # stage temporaries or the boolean masks (1.55 fields): never the field twice
+    for resolution, fields in ((512, 4), (1024, 1.75)):
         tracemalloc.start()
         try:
             field = stability_scan(-20j, window=(-15.0, 12.0, -16.0, 16.0), resolution=resolution)
@@ -452,6 +452,79 @@ def test_field_csv_bytes_match_savetxt(tmp_path):
                header="re_x,im_x,abs_r", comments="")
     write_field_csv(field, tmp_path / "field.csv")
     assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+def _savetxt_bytes(field, path):
+    re = np.broadcast_to(field.re_axis[None, :], field.magnitudes.shape)
+    im = np.broadcast_to(field.im_axis[:, None], field.magnitudes.shape)
+    data = np.column_stack([re.ravel(), im.ravel(), field.magnitudes.ravel()])
+    np.savetxt(path, data, delimiter=",", fmt="%.17e", header="re_x,im_x,abs_r", comments="")
+    return path.read_bytes()
+
+
+IMAG_Y = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                     / "stability_imag_y.json").read_text())
+
+
+@pytest.mark.parametrize("y", IMAG_Y["y"])
+def test_field_csv_bytes_match_savetxt_on_the_shipped_window(tmp_path, y):
+    field = stability_scan(parse_y_value(y), window=tuple(IMAG_Y["window"]), resolution=128)
+    write_field_csv(field, tmp_path / "field.csv")
+    assert (tmp_path / "field.csv").read_bytes() == _savetxt_bytes(field, tmp_path / "savetxt.csv")
+
+
+def test_field_csv_rows_outside_the_exact_range_match_savetxt(tmp_path):
+    magnitudes = np.full((6, 5), 0.75)
+    magnitudes[1, 2], magnitudes[2, 0], magnitudes[3, 4] = 0.0, 5e-324, 1e150
+    magnitudes[4, 1], magnitudes[5, 3] = np.inf, np.nan
+    field = StabilityField(y=0.0, re_axis=np.linspace(-2.0, 2.0, 5),
+                           im_axis=np.linspace(-1.0, 1.5, 6), magnitudes=magnitudes)
+    _, exact = analysis._e17_records(magnitudes.ravel())
+    assert exact.reshape(magnitudes.shape).all(axis=1).tolist() == [True] + [False] * 5
+    write_field_csv(field, tmp_path / "field.csv")
+    assert (tmp_path / "field.csv").read_bytes() == _savetxt_bytes(field, tmp_path / "savetxt.csv")
+
+
+def _check_e17_records(values):
+    values = np.asarray(values, dtype=np.float64)
+    records, exact = analysis._e17_records(values)
+    assert records.shape == (values.size, 23) and records.dtype == np.uint8
+    for x, record, ok in zip(values.tolist(), records, exact.tolist()):
+        if ok:
+            assert record.tobytes().decode() == f"{x:.17e}", x
+        if not 1e-10 <= x < 1e18:  # a decade outside 10^-10..10^17, or not positive and finite
+            assert not ok, x
+        if 1e-10 <= x < 1e14:  # the range write_field_csv's docstring states
+            assert ok, x
+    return exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                          st.floats(min_value=1e-12, max_value=1e19)), max_size=50))
+def test_e17_records_are_python_formatting_or_flagged(values):
+    _check_e17_records(values)
+
+
+def test_e17_records_on_random_bit_patterns_decades_and_short_binary_values():
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64, endpoint=False).view(np.float64)
+    decades = 10.0 ** rng.uniform(-11.0, 19.0, 20000)
+    # odd j 2^n: j 5^k 2^(n+k) is an exact tie of the 18-digit rounding where n + k = -1
+    short = np.ldexp(np.arange(1.0, 400.0, 2.0)[:, None], np.arange(-50, 50)[None, :]).ravel()
+    _check_e17_records(np.concatenate((bits, decades, short)))
+
+
+def test_e17_records_on_ties_powers_of_ten_and_extremes():
+    records, exact = analysis._e17_records(np.array([1e15 + 0.125, 1e15 + 0.375]))
+    assert exact.all()
+    assert [r.tobytes() for r in records] == [b"1.00000000000000012e+15",
+                                              b"1.00000000000000038e+15"]
+    powers = np.array([float(f"1e{p}") for p in range(-10, 19)])
+    _check_e17_records(np.concatenate((np.nextafter(powers, 0.0), powers,
+                                       np.nextafter(powers, np.inf))))
+    extremes = [5e-324, 1.7976931348623157e308, 0.0, -0.0, np.inf, np.nan]
+    assert not _check_e17_records(extremes).any()
 
 
 def test_boundary_csv_format(tmp_path):
