@@ -5,7 +5,6 @@ fractions, pinned in the acceptance gate)."""
 
 from .analysis import (
     StabilityField,
-    amplification_factor,
     gre,
     max_norm_error,
     observed_order,
@@ -33,7 +32,6 @@ __all__ = [
     "SemiDiscreteKse",
     "StabilityField",
     "StepperWorkspace",
-    "amplification_factor",
     "assemble",
     "example1_exact",
     "gre",

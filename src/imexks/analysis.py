@@ -9,9 +9,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .stepper import scalar_amplification
-
-amplification_factor = scalar_amplification
+from .stepper import amplification_polynomial
 
 
 def _pair(exact, numeric) -> Tuple[np.ndarray, np.ndarray]:
@@ -47,8 +45,8 @@ def observed_order(e_coarse: float, e_fine: float) -> float:
 DEFAULT_WINDOW = (-8.0, 4.0, -8.0, 8.0)
 DEFAULT_RESOLUTION = 512
 BISECTION_STEPS = 48
-# samples per sampling call of a scan: bounds the stage temporaries of
-# scalar_amplification near 5 MB at any resolution, for 8 calls at 512 x 512
+# samples per block of rows of a scan and of the field CSV: a scan block's Horner
+# temporaries are a few complex arrays, near 2 MB at any resolution, 8 blocks at 512 x 512
 _SAMPLES_PER_CALL = 1 << 15
 
 
@@ -73,16 +71,17 @@ class StabilityField:
         return float(np.sum(self.magnitudes <= 1.0) * cell)
 
 
-def _bisect_crossings(y: complex, p_in: np.ndarray, p_out: np.ndarray) -> np.ndarray:
+def _bisect_crossings(r, p_in: np.ndarray, p_out: np.ndarray) -> np.ndarray:
     """Points on the segments [p_in, p_out] where |r| crosses 1, all bisected at once.
 
-    ``p_in`` holds the |r| <= 1 end of each segment.  Each of at most
-    ``BISECTION_STEPS`` iterations evaluates every midpoint in one call; the
-    bisection stops once every interval is shorter than 1e-12.
+    ``r`` is the scan's r(x) and ``p_in`` holds the |r| <= 1 end of each
+    segment.  Each of at most ``BISECTION_STEPS`` iterations evaluates every
+    midpoint in one call; the bisection stops once every interval is shorter
+    than 1e-12.
     """
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (p_in + p_out)
-        mid_in = np.abs(scalar_amplification(mid, y)) <= 1.0
+        mid_in = np.abs(r(mid)) <= 1.0
         p_in, p_out = np.where(mid_in, mid, p_in), np.where(mid_in, p_out, mid)
         if np.all(np.abs(p_out - p_in) < 1e-12):
             break
@@ -132,14 +131,14 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
                    resolution: int = DEFAULT_RESOLUTION) -> StabilityField:
     """Sample |r(x, y)| on the window and extract the |r| = 1 level set.
 
-    The samples are evaluated in blocks of whole rows, about
-    ``_SAMPLES_PER_CALL`` points each, so the stage temporaries of r take
-    bounded memory and the scan's working memory is the field plus a few
-    bytes per sample of boolean masks.
+    r is its quartic in x, from :func:`~imexks.stepper.amplification_polynomial`
+    once per y and evaluated by Horner's rule in blocks of whole rows, about
+    ``_SAMPLES_PER_CALL`` points each, so the scan's working memory is the
+    field plus a few bytes per sample of boolean masks.
 
     Marching squares over the sample grid: every grid edge whose two samples
     lie on different sides of |r| = 1 is a crossing edge.  Each crossing edge
-    is bisected once on the exact scalar scheme, all edges together, so
+    is bisected once on the same quartic, all edges together, so
     boundary points lie on grid edges and satisfy ||r| - 1| <= 1e-3
     regardless of resolution.  Each cell joins its crossing edges in pairs
     (a saddle cell by its centre sample), oriented with |r| <= 1 on the left.
@@ -152,15 +151,11 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
     if not np.isfinite(y):
         raise ValueError(f"y = {y} must be finite")
     re_axis, im_axis = scan_axes(window, resolution)
-    # blocks of `rows` rows, the rows left over joining the last: each block then has
-    # at least 16384 samples (256 KiB) if the grid has, the size from which numpy
-    # computes `x * temporary` in place with its operands swapped, which rounds
-    # differently; so the samples are bit-identical to one call on the whole grid
+    r = amplification_polynomial(y)
     rows = max(1, _SAMPLES_PER_CALL // resolution)
-    bounds = [0, *range(rows, resolution - rows + 1, rows), resolution]
     magnitudes = np.empty((resolution, resolution))
-    for lo, hi in zip(bounds, bounds[1:]):
-        np.abs(scalar_amplification(re_axis + 1j * im_axis[lo:hi, None], y), out=magnitudes[lo:hi])
+    for lo in range(0, resolution, rows):
+        np.abs(r(re_axis + 1j * im_axis[lo:lo + rows, None]), out=magnitudes[lo:lo + rows])
 
     def x_at(j, i):  # the sample points re_axis[i] + i im_axis[j], as the blocks build them
         return re_axis[i] + 1j * im_axis[j]
@@ -183,7 +178,7 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
     first = np.concatenate((x_at(jh, ih), x_at(jv, iv)))
     second = np.concatenate((x_at(jh, ih + 1), x_at(jv + 1, iv)))
     first_in = np.concatenate((inside[jh, ih], inside[jv, iv]))
-    points = _bisect_crossings(y, np.where(first_in, first, second),
+    points = _bisect_crossings(r, np.where(first_in, first, second),
                                np.where(first_in, second, first))
 
     # cells (j, i) with a crossing; edge k runs counter-clockwise from corner k:
@@ -203,7 +198,7 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
     sj, si = jc[saddle], ic[saddle]
     centre = x_at(sj, si) + 0.5 * (x_at(sj + 1, si + 1) - x_at(sj, si))
     clockwise = saddle.copy()
-    clockwise[saddle] = ~(np.abs(scalar_amplification(centre, y)) <= 1.0)
+    clockwise[saddle] = ~(np.abs(r(centre)) <= 1.0)
     tails = edges[cell, k]
     heads = edges[cell, (k + np.where(clockwise[cell], 3, ahead)) % 4]
 
@@ -262,6 +257,9 @@ def write_field_csv(stability_field: StabilityField, path):
     of whole rows, about ``_SAMPLES_PER_CALL`` samples each: a row's text is
     a template of its axis texts with 23 bytes left before each newline,
     into which the magnitudes' records from ``_e17_records`` are copied.
+    Where each record goes is arithmetic on the template: split at ``{im}``
+    into pieces p_0..p_n, a row whose ``im`` text has w bytes holds record i
+    at len(p_0 + ... + p_i) + (i + 1) w + 1.
 
     Those records are Python's correctly rounded ``%.17e`` in integer
     arithmetic.  A positive normal float64 is v = m 2^E with m < 2^53.  Its
@@ -281,6 +279,7 @@ def write_field_csv(stability_field: StabilityField, path):
     template = "".join(f"{re:.17e},{{im}},%.17e\n" for re in stability_field.re_axis.tolist())
     by_python = template.encode().split(b"{im}")
     by_records = template.replace("%.17e", "0" * 23).encode().split(b"{im}")
+    lead = np.cumsum([len(piece) for piece in by_records[:-1]], dtype=np.intp) + 1
     rows = max(1, _SAMPLES_PER_CALL // max(1, magnitudes.shape[1]))
     with open(path, "wb") as fh:
         fh.write(b"re_x,im_x,abs_r\n")
@@ -288,24 +287,27 @@ def write_field_csv(stability_field: StabilityField, path):
             block = magnitudes[lo:lo + rows]
             records, exact = _e17_records(block.ravel())
             fast = exact.reshape(block.shape).all(axis=1)
-            text = bytearray().join(
-                f"{im:.17e}".encode().join(by_records) if ok
-                else f"{im:.17e}".encode().join(by_python) % tuple(row.tolist())
-                for im, row, ok in zip(stability_field.im_axis[lo:lo + rows].tolist(), block, fast))
-            # each line's record ends at its newline; write them through a view of
-            # 23-byte items that start at every byte
-            ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")).reshape(block.shape)
+            ims = [f"{im:.17e}".encode() for im in stability_field.im_axis[lo:lo + rows].tolist()]
+            lines = [im.join(by_records) if ok else im.join(by_python) % tuple(row.tolist())
+                     for im, row, ok in zip(ims, block, fast)]
+            sizes = np.array([len(line) for line in lines])
+            widths = np.array([len(im) for im in ims])
+            starts = (np.cumsum(sizes) - sizes)[fast, None] + lead
+            starts += widths[fast, None] * np.arange(1, lead.size + 1)
+            text = bytearray().join(lines)
+            # the records go through a view of 23-byte items that start at every byte
             items = np.ndarray((max(len(text) - 22, 0),), dtype="V23", buffer=text, strides=(1,))
-            items[ends[fast].ravel() - 23] = records.view("V23").reshape(block.shape)[fast].ravel()
+            items[starts.ravel()] = records.view("V23").reshape(block.shape)[fast].ravel()
             fh.write(text)
 
 
 def write_boundary_csv(stability_field: StabilityField, path):
     """Boundary polylines as (polyline_index, re_x, im_x) rows.
 
-    No polylines give a 0 x 3 array, for which ``np.savetxt`` writes only the
-    header line.
+    Byte for byte ``np.savetxt`` with ``fmt=("%d", "%.17e", "%.17e")`` and header
+    ``polyline,re_x,im_x``: no polylines give only the header line.
     """
-    rows = [(idx, px, py) for idx, line in enumerate(stability_field.boundary) for px, py in line]
-    np.savetxt(path, np.array(rows, dtype=float).reshape(-1, 3), delimiter=",",
-               fmt=("%d", "%.17e", "%.17e"), header="polyline,re_x,im_x", comments="")
+    text = "".join(f"{idx},{px:.17e},{py:.17e}\n" for idx, line in enumerate(stability_field.boundary)
+                   for px, py in line.tolist())
+    with open(path, "wb") as fh:
+        fh.write(("polyline,re_x,im_x\n" + text).encode())

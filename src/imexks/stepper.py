@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .system import SemiDiscreteKse
 
@@ -79,20 +80,31 @@ def _stages(m, u, u_hat, rhs, inverse):
                        + w31 * (f_n - f_a - f_b + f_c))
 
 
+def _one_mode(y):
+    """The multipliers at z = -y and k = 1 of one mode, refused within 1e-8 of a stage pole."""
+    z = -complex(y)
+    if any(abs(z - pole) < 1e-8 for pole in _POLES):
+        raise ValueError(f"z = {z} is too close to a stage pole")
+    return _multipliers(z, 1.0)
+
+
 def scalar_amplification(x, y):
     """One-step growth factor of the scheme on u' = -c u + gamma u.
 
     ``x = gamma k`` scales the explicitly treated term and ``y = -c k`` the
     implicit one: :func:`step`'s stage sequence on one mode with multipliers
     at z = k c = -y for k = 1, F(v) = x v and u_n = 1.  The result is an exact
-    degree-4 polynomial in x with y-dependent coefficients; ``x`` may be an array.
+    degree-4 polynomial in x with y-dependent coefficients
+    (:func:`amplification_polynomial`); ``x`` may be an array.
     """
-    z = -complex(y)
-    if any(abs(z - pole) < 1e-8 for pole in _POLES):
-        raise ValueError(f"z = {z} is too close to a stage pole")
     x_arr = np.asarray(x, dtype=complex)
-    r = _stages(_multipliers(z, 1.0), 1.0, 1.0, lambda _i, v: x_arr * v, lambda v: v)
+    r = _stages(_one_mode(y), 1.0, 1.0, lambda _i, v: x_arr * v, lambda v: v)
     return complex(r) if x_arr.ndim == 0 else r
+
+
+def amplification_polynomial(y) -> Polynomial:
+    """r(x, y) in x: the same stages on F(v) = X v, X = Polynomial([0, 1]); a call is Horner's rule."""
+    return _stages(_one_mode(y), 1.0, 1.0, lambda _i, v: Polynomial([0, 1]) * v, lambda v: v)
 
 
 @dataclass(eq=False)

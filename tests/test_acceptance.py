@@ -189,7 +189,7 @@ def test_criterion_7_oracle_equivalence():
 def test_criterion_8_linear_order_five_truncation():
     t0 = time.perf_counter()
     # one step from u = 1 of u' = -2 u + u, -2 u implicit, against exp(-k)
-    errors = [abs(analysis.amplification_factor(k, -2.0 * k) - math.exp(-k))
+    errors = [abs(stepper.scalar_amplification(k, -2.0 * k) - math.exp(-k))
               for k in (0.1, 0.05, 0.025, 0.0125)]
     ratios = [a / b for a, b in zip(errors, errors[1:])]
     elapsed = time.perf_counter() - t0
@@ -221,7 +221,7 @@ def test_criterion_10_stability_qualitative_checks():
     pade_mag = np.abs((12.0 - 6.0 * z + z * z) / (12.0 + 6.0 * z + z * z)).max()
 
     x_pts = rng.uniform(-2, 2, 20) + 1j * rng.uniform(-2, 2, 20)
-    rk4_defect = max(abs(analysis.amplification_factor(x, 0.0)
+    rk4_defect = max(abs(stepper.scalar_amplification(x, 0.0)
                          - (1 + x + x**2 / 2 + x**3 / 6 + x**4 / 24)) for x in x_pts)
 
     window = (-8.0, 4.0, -8.0, 8.0)

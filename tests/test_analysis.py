@@ -12,7 +12,6 @@ from scipy.optimize import brentq
 from imexks import analysis
 from imexks.analysis import (
     StabilityField,
-    amplification_factor,
     gre,
     max_norm_error,
     observed_order,
@@ -21,7 +20,7 @@ from imexks.analysis import (
     write_field_csv,
 )
 from imexks.cli import parse_y_value
-from imexks.stepper import scalar_amplification
+from imexks.stepper import amplification_polynomial, scalar_amplification
 
 
 # ------------------------------------------------------------------- norms
@@ -120,35 +119,35 @@ def test_linear_truncation_rejects_bad_steps():
 
 
 def test_amplification_at_origin():
-    assert amplification_factor(0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert scalar_amplification(0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_amplification_reduces_to_rk4_polynomial_without_implicit_part():
     rng = np.random.default_rng(17)
     for x in rng.uniform(-2, 2, 20) + 1j * rng.uniform(-2, 2, 20):
         rk4 = 1 + x + x**2 / 2 + x**3 / 6 + x**4 / 24
-        assert abs(amplification_factor(x, 0.0) - rk4) <= 1e-12
+        assert abs(scalar_amplification(x, 0.0) - rk4) <= 1e-12
 
 
 def test_amplification_reduces_to_pade_without_explicit_part():
-    assert amplification_factor(0.0, -1.0) == pytest.approx(7.0 / 19.0, abs=1e-14)
+    assert scalar_amplification(0.0, -1.0) == pytest.approx(7.0 / 19.0, abs=1e-14)
 
 
 def test_amplification_is_degree_four_in_x():
     y = -3.0 + 0.5j
     nodes = np.array([0.3, 1.1, -0.7, 2.2, -1.9], dtype=complex)
     vander = np.vander(nodes, 5, increasing=True)
-    coeff = np.linalg.solve(vander, np.array([amplification_factor(x, y) for x in nodes]))
+    coeff = np.linalg.solve(vander, np.array([scalar_amplification(x, y) for x in nodes]))
     probes = np.array([0.9 - 0.4j, -2.0 + 1.3j, 3.7 + 0.1j, 0.01 + 2.4j])
     for x in probes:
         fitted = np.polyval(coeff[::-1], x)
-        assert abs(fitted - amplification_factor(x, y)) <= 1e-10
+        assert abs(fitted - scalar_amplification(x, y)) <= 1e-10
 
 
 def _x_taylor_coefficients(y):
     nodes = np.array([0.0, 0.1, -0.1, 0.2, -0.2], dtype=complex)
     vander = np.vander(nodes, 5, increasing=True)
-    return np.linalg.solve(vander, np.array([amplification_factor(x, y) for x in nodes]))
+    return np.linalg.solve(vander, np.array([scalar_amplification(x, y) for x in nodes]))
 
 
 def test_amplification_series_coefficients():
@@ -181,14 +180,36 @@ def test_amplification_matches_closed_form_on_shipped_windows(config):
     for raw in cfg["y"]:
         y = parse_y_value(raw)
         expected = _closed_form_amplification(x, y)
-        defect = np.abs(amplification_factor(x, y) - expected) / np.maximum(1.0, np.abs(expected))
+        defect = np.abs(scalar_amplification(x, y) - expected) / np.maximum(1.0, np.abs(expected))
         assert defect.max() <= 1e-13, raw
 
 
 def test_amplification_pole_proximity_is_an_error():
     pole = complex(-3.0, math.sqrt(3.0))
     with pytest.raises(ValueError):
-        amplification_factor(1.0, -pole)
+        scalar_amplification(1.0, -pole)
+
+
+REAL_Y = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                     / "stability_real_y.json").read_text())
+IMAG_Y = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                     / "stability_imag_y.json").read_text())
+
+
+@pytest.mark.parametrize("raw", IMAG_Y["y"] + REAL_Y["y"])
+def test_horner_on_the_quartic_matches_the_stage_sequence(raw):
+    y = parse_y_value(raw)
+    assert amplification_polynomial(y).degree() == 4
+    rng = np.random.default_rng(23)
+    x = rng.uniform(-15.0, 12.0, 2000) + 1j * rng.uniform(-16.0, 16.0, 2000)
+    expected = scalar_amplification(x, y)
+    assert (np.abs(amplification_polynomial(y)(x) - expected) / np.abs(expected)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("y", [complex(3.0, -math.sqrt(3.0)), complex(3.0, math.sqrt(3.0))])
+def test_scan_at_a_stage_pole_is_an_error(y):
+    with pytest.raises(ValueError, match="stage pole"):
+        stability_scan(y, resolution=16)
 
 
 # ------------------------------------------------------------ stability scan
@@ -196,7 +217,7 @@ def test_amplification_pole_proximity_is_an_error():
 
 def test_scan_boundary_matches_real_axis_crossing():
     field = stability_scan(0.0, window=(-4.0, 1.0, -4.0, 4.0), resolution=96)
-    crossing = brentq(lambda t: abs(amplification_factor(t, 0.0)) - 1.0, -3.0, -2.5)
+    crossing = brentq(lambda t: abs(scalar_amplification(t, 0.0)) - 1.0, -3.0, -2.5)
     assert crossing == pytest.approx(-2.7853, abs=1e-3)
     pts = np.vstack(field.boundary)
     on_axis = pts[np.abs(pts[:, 1]) < 0.05]
@@ -206,7 +227,7 @@ def test_scan_boundary_matches_real_axis_crossing():
 def test_scan_boundary_points_lie_on_level_set():
     field = stability_scan(-2.0, window=(-6.0, 3.0, -6.0, 6.0), resolution=48)
     pts = np.vstack(field.boundary)
-    mags = np.array([abs(amplification_factor(complex(px, qy), -2.0)) for px, qy in pts])
+    mags = np.array([abs(scalar_amplification(complex(px, qy), -2.0)) for px, qy in pts])
     assert np.abs(mags - 1.0).max() <= 1e-3
 
 
@@ -285,7 +306,7 @@ def test_scan_boundary_contract():
     pts = np.vstack(field.boundary)
     # every point lies on a grid edge: one coordinate is exactly a sample
     assert (np.isin(pts[:, 0], field.re_axis) | np.isin(pts[:, 1], field.im_axis)).all()
-    mags = np.abs(amplification_factor(pts[:, 0] + 1j * pts[:, 1], -2.0))
+    mags = np.abs(scalar_amplification(pts[:, 0] + 1j * pts[:, 1], -2.0))
     assert np.abs(mags - 1.0).max() <= 1e-9
 
 
@@ -337,6 +358,11 @@ def _polyline_segments(field):
     return np.vstack([np.column_stack((p[:-1], p[1:])) for p in lines])
 
 
+def _inject_product_field(monkeypatch):
+    """Make the scan's per-y evaluator of r the saddle field ``_product_field``."""
+    monkeypatch.setattr(analysis, "amplification_polynomial", lambda y: lambda x: _product_field(x, y))
+
+
 @pytest.mark.parametrize("y, window, resolution, saddle", [
     (-2.0, (-6.0, 3.0, -6.0, 6.0), 48, False),
     (-5j, (-4.0, 2.0, -6.0, 6.0), 40, False),
@@ -344,9 +370,9 @@ def _polyline_segments(field):
 ])
 def test_scan_matches_cell_by_cell_reference(monkeypatch, y, window, resolution, saddle):
     if saddle:
-        monkeypatch.setattr(analysis, "scalar_amplification", _product_field)
+        _inject_product_field(monkeypatch)
     field = stability_scan(y, window=window, resolution=resolution)
-    ref = _reference_segments(field, analysis.scalar_amplification)
+    ref = _reference_segments(field, _product_field if saddle else scalar_amplification)
     got = _polyline_segments(field)
     assert ref.shape == got.shape
     same = np.maximum(np.abs(ref[:, None, 0] - got[None, :, 0]), np.abs(ref[:, None, 1] - got[None, :, 1]))
@@ -358,7 +384,7 @@ def test_scan_matches_cell_by_cell_reference(monkeypatch, y, window, resolution,
 
 @pytest.mark.parametrize("im_window, centre_in", [((-1.05, 0.95), False), ((-0.95, 1.05), True)])
 def test_saddle_cell_cuts_off_corners_unlike_its_centre(monkeypatch, im_window, centre_in):
-    monkeypatch.setattr(analysis, "scalar_amplification", _product_field)
+    _inject_product_field(monkeypatch)
     field = stability_scan(0.0, window=(-1.1, 0.9) + im_window, resolution=16)
     re, im = field.re_axis, field.im_axis
     i, j = np.searchsorted(re, 0.0) - 1, np.searchsorted(im, 0.0) - 1
@@ -386,12 +412,17 @@ def test_saddle_cell_cuts_off_corners_unlike_its_centre(monkeypatch, im_window, 
 
 def test_scan_amplification_calls_do_not_grow_with_resolution(monkeypatch):
     counts = {}
+    polynomial = analysis.amplification_polynomial
 
-    def counted(x, y):
-        counts[resolution] += 1
-        return scalar_amplification(x, y)
+    def counted_evaluator(y):
+        r = polynomial(y)
 
-    monkeypatch.setattr(analysis, "scalar_amplification", counted)
+        def counted(x):
+            counts[resolution] += 1
+            return r(x)
+        return counted
+
+    monkeypatch.setattr(analysis, "amplification_polynomial", counted_evaluator)
     for resolution in (64, 256):
         counts[resolution] = 0
         stability_scan(-5j, window=(-15.0, 12.0, -16.0, 16.0), resolution=resolution)
@@ -399,8 +430,9 @@ def test_scan_amplification_calls_do_not_grow_with_resolution(monkeypatch):
 
 
 def test_scan_memory_does_not_scale_with_the_stage_temporaries():
-    # at 1024 x 1024 the peak is the field, filled block by block, plus one block's
-    # stage temporaries or the boolean masks (1.55 fields): never the field twice
+    # the peak is the field, filled block by block, plus the boolean masks (1.55 fields
+    # at 1024 x 1024; one block's Horner temporaries, near 2 MB, are less): never the
+    # field twice
     for resolution, fields in ((512, 4), (1024, 1.75)):
         tracemalloc.start()
         try:
@@ -415,19 +447,24 @@ def test_scan_memory_does_not_scale_with_the_stage_temporaries():
 def test_scan_blocks_give_the_magnitudes_of_one_call(monkeypatch):
     y, window, resolution = -5j, (-15.0, 12.0, -16.0, 16.0), 37
     block_rows = []
+    polynomial = analysis.amplification_polynomial
 
-    def counted(x, y_):
-        if np.ndim(x) == 2:
-            block_rows.append(np.shape(x)[0])
-        return scalar_amplification(x, y_)
+    def counted_evaluator(y_):
+        r = polynomial(y_)
+
+        def counted(x):
+            if np.ndim(x) == 2:
+                block_rows.append(np.shape(x)[0])
+            return r(x)
+        return counted
 
     monkeypatch.setattr(analysis, "_SAMPLES_PER_CALL", 5 * resolution)
-    monkeypatch.setattr(analysis, "scalar_amplification", counted)
+    monkeypatch.setattr(analysis, "amplification_polynomial", counted_evaluator)
     field = stability_scan(y, window=window, resolution=resolution)
-    assert block_rows == [5] * 6 + [7]  # the 2 rows left over join the last block
+    assert block_rows == [5] * 7 + [2]  # a plain loop: the last block holds the 2 rows left over
     re_axis, im_axis = analysis.scan_axes(window, resolution)
     x_grid = re_axis[None, :] + 1j * im_axis[:, None]
-    assert np.array_equal(field.magnitudes, np.abs(scalar_amplification(x_grid, y)))
+    assert np.array_equal(field.magnitudes, np.abs(polynomial(y)(x_grid)))
 
 
 # ------------------------------------------------------------------ output
@@ -461,9 +498,6 @@ def _savetxt_bytes(field, path):
     np.savetxt(path, data, delimiter=",", fmt="%.17e", header="re_x,im_x,abs_r", comments="")
     return path.read_bytes()
 
-
-IMAG_Y = json.loads((Path(__file__).resolve().parent.parent / "configs"
-                     / "stability_imag_y.json").read_text())
 
 
 @pytest.mark.parametrize("y", IMAG_Y["y"])
@@ -542,3 +576,33 @@ def test_empty_boundary_csv(tmp_path):
     path = tmp_path / "empty.csv"
     write_boundary_csv(field, path)
     assert path.read_text() == "polyline,re_x,im_x\n"
+
+
+def _boundary_savetxt_bytes(field, path):
+    rows = [(idx, px, py) for idx, line in enumerate(field.boundary) for px, py in line]
+    np.savetxt(path, np.array(rows, dtype=float).reshape(-1, 3), delimiter=",",
+               fmt=("%d", "%.17e", "%.17e"), header="polyline,re_x,im_x", comments="")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("y", IMAG_Y["y"])
+def test_boundary_csv_bytes_match_savetxt_on_the_shipped_window(tmp_path, y):
+    field = stability_scan(parse_y_value(y), window=tuple(IMAG_Y["window"]), resolution=128)
+    write_boundary_csv(field, tmp_path / "boundary.csv")
+    assert (tmp_path / "boundary.csv").read_bytes() == _boundary_savetxt_bytes(
+        field, tmp_path / "savetxt.csv")
+
+
+def test_boundary_csv_bytes_match_savetxt_with_two_digit_indices_and_none(tmp_path):
+    rng = np.random.default_rng(11)
+    lines = [rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(rng.integers(1, 6), 2))
+             for _ in range(11)]
+    lines[4][0] = (-0.0, 1e-300)
+    axis = np.array([0.0, 1.0])
+    for boundary in (lines, []):
+        field = StabilityField(y=0.0, re_axis=axis, im_axis=axis, magnitudes=np.full((2, 2), 0.5),
+                               boundary=boundary)
+        write_boundary_csv(field, tmp_path / "boundary.csv")
+        expected = _boundary_savetxt_bytes(field, tmp_path / "savetxt.csv")
+        assert (tmp_path / "boundary.csv").read_bytes() == expected
+    assert expected == b"polyline,re_x,im_x\n"
