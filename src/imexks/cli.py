@@ -5,15 +5,16 @@ mode alone picks what runs: ``solve`` (one run, field snapshots, errors when
 an exact solution exists), ``converge-space-time`` and ``converge-time``
 (refinement studies), ``gre-table`` (global relative errors against the
 published comparisons) or ``stability`` (amplification-factor scans and
-|r| = 1 boundaries).  Stability mode scans its y values in worker processes,
-one task per y and up to the CPUs this process may use, or in this process
-when only one task would run at a time.  Exit codes: 0 success, 2 config
+|r| = 1 boundaries).  Stability mode scans its y values in waves of worker
+processes, as many y per wave as the CPUs this process may use, or in this
+process when only one CPU or one y is there.  Exit codes: 0 success, 2 config
 error, 3 numerical instability, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -220,12 +221,15 @@ def validate_config(cfg: Mapping):
     for t_snap in cfg.get("snapshots", ()):
         if t_snap < 0 or t_snap > cfg["T"] or stepper.whole_steps(t_snap, cfg["k"]) is None:
             raise ConfigError(f"snapshot time {t_snap} is not a step multiple within [0, T]")
-    times = cfg.get("times", ())
-    if list(times) != sorted(set(times)):
-        raise ConfigError("times must be strictly increasing")
-    for t_val in times:
+    for t_val in cfg.get("times", ()):
         if t_val <= 0 or stepper.whole_steps(t_val, cfg["k"]) is None:
             raise ConfigError(f"time {t_val} is not a positive step multiple")
+    snap_steps, time_steps = ([stepper.whole_steps(t, cfg["k"]) for t in cfg.get(key, ())]
+                              for key in ("snapshots", "times"))
+    if len(set(snap_steps)) < len(snap_steps):
+        raise ConfigError("two snapshot times fall on the same step")
+    if time_steps != sorted(set(time_steps)):
+        raise ConfigError("times must fall on strictly increasing steps")
     for n_points in {n for n, _ in runs}:
         spec.build_system(n_points)
     if mode in ("converge-space-time", "gre-table") and spec.exact_solution is None:
@@ -393,43 +397,24 @@ def _scan_to_files(label: str, window: tuple, resolution: int, out: Path) -> dic
             "wall_write_seconds": time.perf_counter() - t1}
 
 
-def _map_in_workers(task, items, workers: int):
-    """``map(task, items)`` in ``workers`` processes, the results in order of ``items``.
-
-    At most ``workers`` tasks run at once, and none starts once one has failed.
-    The results up to the first failure are yielded, then its error is raised
-    after every task still running has ended, and no worker outlives the call.
-    """
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-    # the platform's start method: fork on Linux up to Python 3.13, so a worker starts
-    # with imexks already imported; a spawned one imports it afresh, which made four
-    # 512 x 512 scans on two CPUs take 1.5 s instead of 1.1 s
-    with ProcessPoolExecutor(workers) as pool:
-        futures = []
-        for item in items:
-            running = [future for future in futures if not future.done()]
-            if len(running) == workers:
-                wait(running, return_when=FIRST_COMPLETED)
-            if any(future.done() and future.exception() for future in futures):
-                break
-            futures.append(pool.submit(task, item))
-        for future in futures:
-            yield future.result()
-
-
 def _run_stability(cfg: Mapping, _spec, out: Path, report: dict):
-    """One task per y: a worker process each, up to the usable CPUs, or in this
-    process when only one would run, so that no process is started for nothing."""
+    """Scan the y in waves of one worker process per usable CPU, each wave after every row
+    of the last is read, so no y starts after a failure; in this process if one runs at once."""
+    from concurrent.futures import ProcessPoolExecutor
+
     labels = cfg["y"]
     task = functools.partial(_scan_to_files, window=cfg.get("window", analysis.DEFAULT_WINDOW),
                              resolution=cfg.get("resolution", analysis.DEFAULT_RESOLUTION),
                              out=out)
     workers = min(len(labels), _usable_cpus())
-    rows = map(task, labels) if workers == 1 else _map_in_workers(task, labels, workers)
-    for row in rows:
-        report["rows"].append(row)
-        report["outputs"].extend(_stability_files(row["y"]))
+    # the platform's start method: fork on Linux up to Python 3.13, so a worker starts
+    # with imexks already imported; a spawned one imports it afresh, which made four
+    # 512 x 512 scans on two CPUs take 1.5 s instead of 1.1 s
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for start in range(0, len(labels), workers):
+            for row in (pool.map if pool else map)(task, labels[start:start + workers]):
+                report["rows"].append(row)
+                report["outputs"].extend(_stability_files(row["y"]))
 
 
 _RUNNERS = {"solve": _run_solve, "converge-space-time": _run_converge,

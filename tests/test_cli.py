@@ -114,6 +114,13 @@ INVALID_CONFIGS = [
     ({"mode": "gre-table", "problem": 1, "N": 26, "k": 0.5, "times": [2.0, 1.0]}, "increasing"),
     ({"mode": "stability", "y": ["-2"], "problem": 1}, "does not accept 'problem'"),
     ({"mode": "stability", "y": ["0", "-0"]}, "same y"),
+    # a run keeps one state per step, so two times on one step would lose one of them
+    ({"mode": "gre-table", "problem": 1, "N": 26, "k": 0.01,
+      "times": [0.01, 0.0100000000001]}, "increasing steps"),
+    ({"mode": "solve", "problem": 1, "h": 0.5, "k": 0.01, "T": 0.04,
+      "snapshots": [0.02, 0.0200000000001]}, "same step"),
+    ({"mode": "solve", "problem": 2, "N": 16, "k": 0.25, "T": 1.0,
+      "snapshots": [0.5, 0.0, 0.5]}, "same step"),
 ]
 
 
@@ -438,6 +445,64 @@ def test_stability_no_y_starts_once_a_worker_has_failed(tmp_path, monkeypatch):
     # -2, running when 5i failed, ends and writes its files; 0 never starts
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         "boundary_y-2.csv", "report.json", "stability_y-2.csv"]
+
+
+def test_stability_runs_at_most_one_y_per_usable_cpu_at_once(tmp_path, monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched scan reaches the workers only when they are forked")
+    scan = analysis.stability_scan
+    live = tmp_path / "live"
+    live.mkdir()
+
+    def patched(y, **kwargs):
+        mark = live / f"{os.getpid()}-{y}"
+        mark.touch()
+        time.sleep(0.2)
+        (tmp_path / f"seen-{os.getpid()}-{y}").write_text(str(len(list(live.iterdir()))))
+        mark.unlink()
+        return scan(y, **kwargs)
+
+    monkeypatch.setattr(analysis, "stability_scan", patched)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    labels = ["-2", "5i", "0", "-5i", "1"]
+    cfg = config_from_dict({"mode": "stability", "y": labels,
+                            "window": [-6.0, 3.0, -6.0, 6.0], "resolution": 32})
+    report = cli.run(cfg, tmp_path / "out")
+    assert [row["y"] for row in report["rows"]] == labels
+    seen = [int(path.read_text()) for path in tmp_path.glob("seen-*")]
+    assert len(seen) == 5 and max(seen) <= 2
+    assert multiprocessing.active_children() == []
+
+
+# run in a fresh interpreter, whose start method is not yet fixed
+_START_METHOD_RUN = """
+import multiprocessing, sys
+from imexks import cli
+multiprocessing.set_start_method(sys.argv[1])
+cli._usable_cpus = lambda: 2
+sys.exit(cli.main(["--config", sys.argv[2], "--set", "resolution=64", "--out", sys.argv[3]]))
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_stability_workers_write_the_same_files_under_other_start_methods(
+        tmp_path, monkeypatch, method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    config = str(CONFIGS / "stability_imag_y.json")
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", _START_METHOD_RUN, method, config,
+                    str(tmp_path / method)], check=True, timeout=300,
+                   env=dict(os.environ, PYTHONPATH=package_root))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert cli.main(["--config", config, "--set", "resolution=64",
+                     "--out", str(tmp_path / "one")]) == 0
+    one = json.loads((tmp_path / "one" / "report.json").read_text())
+    pooled = json.loads((tmp_path / method / "report.json").read_text())
+    assert _strip_timings(pooled["rows"]) == _strip_timings(one["rows"])
+    assert pooled["outputs"] == one["outputs"] and len(one["outputs"]) == 8
+    for name in one["outputs"]:
+        assert (tmp_path / method / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 def test_importing_the_cli_starts_no_process_machinery():
