@@ -408,8 +408,9 @@ def _run_stability(cfg: Mapping, _spec, out: Path, report: dict):
                              out=out)
     workers = min(len(labels), _usable_cpus())
     # the platform's start method: fork on Linux up to Python 3.13, so a worker starts
-    # with imexks already imported; a spawned one imports it afresh, which made four
-    # 512 x 512 scans on two CPUs take 1.5 s instead of 1.1 s
+    # with imexks already imported.  Four 512 x 512 scans on two CPUs (Python 3.11, eight
+    # runs each) took 0.23-0.25 s under fork, 0.36-0.55 s under forkserver, 0.45-0.60 s
+    # under spawn and 0.29-0.40 s in one process: without fork the pool is the slower way
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         for start in range(0, len(labels), workers):
             for row in (pool.map if pool else map)(task, labels[start:start + workers]):

@@ -5,9 +5,11 @@ straight from their tridiagonal (Dirichlet) or circulant (periodic)
 relations, and :func:`step_dense_reference` evaluates one IMEX step from the
 rational matrix functions with dense solves.  Its wall term comes from
 :func:`dense_walls`, the dropped wall stencil columns solved with the dense
-A, so a wrong wall coupling in the library cannot pass.  Only public library
+A, so a wrong wall coupling in the library cannot pass.  Every dense solve
+goes through ``scipy.linalg.lu_factor``/``lu_solve``, only public library
 names are used, and the stencils are stated here from the compact relations,
-so the oracle does not share the library's symbols or stencil constants.
+so the oracle does not share the library's solves, symbols or stencil
+constants.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
-from imexks import linalg
 from imexks.compact_fd import MIN_OPERATOR_POINTS, BoundaryScheme, Grid
 from imexks.system import KseParameters, SemiDiscreteKse
 
@@ -58,8 +60,7 @@ def _build(grid: Grid, lhs_stencil, rhs_stencil, scale: float) -> np.ndarray:
         n, band = grid.n_points, _circulant
     else:
         n, band = grid.n_points - 2, _tridiag
-    return _freeze(linalg.lu_solve(linalg.lu_factor(band(n, *lhs_stencil)),
-                                   band(n, *rhs_stencil) * scale))
+    return _freeze(lu_solve(lu_factor(band(n, *lhs_stencil)), band(n, *rhs_stencil) * scale))
 
 
 def build_first_derivative(grid: Grid) -> np.ndarray:
@@ -82,7 +83,7 @@ def _wall_columns(grid: Grid, lhs_stencil, rhs_stencil, scale: float) -> np.ndar
     wall_terms = np.zeros((m, 4))
     wall_terms[0, [0, 2]] = scale * rhs_stencil[0], -lhs_stencil[0]
     wall_terms[-1, [1, 3]] = scale * rhs_stencil[2], -lhs_stencil[2]
-    return _freeze(linalg.lu_solve(linalg.lu_factor(_tridiag(m, *lhs_stencil)), wall_terms))
+    return _freeze(lu_solve(lu_factor(_tridiag(m, *lhs_stencil)), wall_terms))
 
 
 def dense_walls(grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
@@ -128,30 +129,30 @@ def step_dense_reference(sys: SemiDiscreteKse, u_n: np.ndarray, t_n: float, k: f
     z = k * linear
     z2 = z @ z
     eye = np.eye(n)
-    den = linalg.lu_factor(12.0 * eye + 6.0 * z + z2)
-    den_h = linalg.lu_factor(48.0 * eye + 12.0 * z + z2)
+    den = lu_factor(12.0 * eye + 6.0 * z + z2)
+    den_h = lu_factor(48.0 * eye + 12.0 * z + z2)
 
     def apply_full(num: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        return linalg.lu_solve(den, num @ vec)
+        return lu_solve(den, num @ vec)
 
     def apply_half(num: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        return linalg.lu_solve(den_h, num @ vec)
+        return lu_solve(den_h, num @ vec)
 
     def rhs(u: np.ndarray, t: float) -> np.ndarray:
         f = -0.5 * (d1 @ (u * u))
         return f if sys.boundary_values is None else f + dense_wall_term(sys, t)
 
     f_n = rhs(u_n, t_n)
-    a_n = apply_half(48.0 * eye - 12.0 * z + z2, u_n) + 24.0 * k * linalg.lu_solve(den_h, f_n)
+    a_n = apply_half(48.0 * eye - 12.0 * z + z2, u_n) + 24.0 * k * lu_solve(den_h, f_n)
     f_a = rhs(a_n, t_n + k / 2)
 
     b_n = (apply_half(48.0 * eye - 12.0 * z + z2, u_n)
-           + 24.0 * k * linalg.lu_solve(den_h, f_n)
+           + 24.0 * k * lu_solve(den_h, f_n)
            + 2.0 * k * apply_half(12.0 * eye + z, f_a - f_n))
     f_b = rhs(b_n, t_n + k / 2)
 
     r22u = apply_full(12.0 * eye - 6.0 * z + z2, u_n)
-    p1f = 12.0 * k * linalg.lu_solve(den, f_n)
+    p1f = 12.0 * k * lu_solve(den, f_n)
     c_n = r22u + p1f + 2.0 * k * apply_full(6.0 * eye + z, f_b - f_n)
     f_c = rhs(c_n, t_n + k)
 
