@@ -114,11 +114,11 @@ _MODES = {
 }
 
 
-def _json_object(text: str) -> dict:
+def _json_object(raw: bytes) -> dict:
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from err
+        data = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ConfigError(f"config is not valid UTF-8 JSON: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object of flat keys")
     return data
@@ -257,10 +257,6 @@ def _timed_run(spec: ProblemSpec, n_points: int, k: float, t_final: float, captu
     return sys_, u_final, captured, {"wall_loop_seconds": t2 - t1, "wall_total_seconds": t2 - t0}
 
 
-def _fmt(value) -> str:
-    return "" if value is None else f"{value:.3E}"
-
-
 def _exact_errors(spec: ProblemSpec, sys_, u: np.ndarray, t: float) -> dict:
     """Max-norm error and GRE against the exact solution on every grid node, walls included."""
     exact = spec.exact_solution(sys_.grid.nodes(), t)
@@ -268,8 +264,21 @@ def _exact_errors(spec: ProblemSpec, sys_, u: np.ndarray, t: float) -> dict:
     return {"max_norm": analysis.max_norm_error(exact, full), "gre": analysis.gre(exact, full)}
 
 
-def _write_table(out: Path, report: dict, header, rows):
-    lines = [",".join(header)] + [",".join(row) for row in rows]
+# table.csv column -> (report-row key, format spec); a missing or None value is an empty cell
+_COLUMNS = {"n_points": ("n_points", "d"), "h": ("h", "g"), "k": ("k", "g"), "T": ("T", "g"),
+            "time": ("time", "g"), "max_norm": ("max_norm", ".3E"), "gre": ("gre", ".3E"),
+            "e_k": ("e_k", ".3E"), "order": ("observed_order", ".4f"),
+            "wall_loop_s": ("wall_loop_seconds", ".4f"),
+            **{f"gre_{name}_literature": (name, ".3E") for name in LITERATURE_GRE}}
+
+
+def _write_table(out: Path, report: dict, header):
+    """table.csv: each report row, its literature GREs merged in, by ``_COLUMNS``."""
+    lines = [",".join(header)]
+    for row in report["rows"]:
+        row = {**row, **row.get("literature", {})}
+        cells = ((row.get(key), spec) for key, spec in map(_COLUMNS.get, header))
+        lines.append(",".join("" if value is None else format(value, spec) for value, spec in cells))
     (out / "table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     report["outputs"].append("table.csv")
 
@@ -311,10 +320,7 @@ def _run_solve(cfg: Mapping, spec: ProblemSpec, out: Path, report: dict):
     if spec.exact_solution is not None:
         row.update(_exact_errors(spec, sys_, u_final, t_final))
     report["rows"].append(row)
-    _write_table(out, report, ["n_points", "h", "k", "T", "max_norm", "gre", "wall_loop_s"], [[
-        str(n_points), f"{sys_.grid.h:g}", f"{k:g}", f"{t_final:g}",
-        _fmt(row.get("max_norm")), _fmt(row.get("gre")), f"{timings['wall_loop_seconds']:.4f}",
-    ]])
+    _write_table(out, report, ["n_points", "h", "k", "T", "max_norm", "gre", "wall_loop_s"])
 
 
 def _run_converge(cfg: Mapping, spec: ProblemSpec, out: Path, report: dict):
@@ -329,7 +335,6 @@ def _run_converge(cfg: Mapping, spec: ProblemSpec, out: Path, report: dict):
         report["reference_run"] = {"k": k_ref, **timings}
     error_key = "max_norm" if space_time else "e_k"
     e_prev = None
-    rows_csv = []
     for n_points, k_val in runs:
         sys_, u_final, _, timings = _timed_run(spec, n_points, k_val, t_final)
         row = {"n_points": n_points, "h": sys_.grid.h, "k": k_val, "T": t_final}
@@ -342,33 +347,23 @@ def _run_converge(cfg: Mapping, spec: ProblemSpec, out: Path, report: dict):
         order = None if e_prev is None else analysis.observed_order(e_prev, error)
         row.update(observed_order=order, **timings)
         report["rows"].append(row)
-        rows_csv.append([
-            str(n_points), f"{sys_.grid.h:g}", f"{k_val:g}", f"{t_final:g}", _fmt(error),
-            "" if order is None else f"{order:.4f}", f"{timings['wall_loop_seconds']:.4f}",
-        ])
         e_prev = error
-    _write_table(out, report, ["n_points", "h", "k", "T", error_key, "order", "wall_loop_s"],
-                 rows_csv)
+    _write_table(out, report, ["n_points", "h", "k", "T", error_key, "order", "wall_loop_s"])
 
 
 def _run_gre_table(cfg: Mapping, spec: ProblemSpec, out: Path, report: dict):
     ((n_points, k),) = _runs(cfg, spec)
     times = cfg["times"]
     sys_, _, captured, timings = _timed_run(spec, n_points, k, times[-1], times)
-    rows_csv = []
     for t_val in times:
-        gre_val = _exact_errors(spec, sys_, captured[t_val], t_val)["gre"]
         report["rows"].append({
-            "n_points": n_points, "h": sys_.grid.h, "k": k, "time": t_val, "gre": gre_val,
+            "n_points": n_points, "h": sys_.grid.h, "k": k, "time": t_val,
+            "gre": _exact_errors(spec, sys_, captured[t_val], t_val)["gre"],
             "literature": {name: table.get(t_val) for name, table in LITERATURE_GRE.items()},
         })
-        rows_csv.append([
-            str(n_points), f"{sys_.grid.h:g}", f"{k:g}", f"{t_val:g}", _fmt(gre_val),
-            *(_fmt(table.get(t_val)) for table in LITERATURE_GRE.values()),
-        ])
     report["timings"] = timings
-    _write_table(out, report, ["n_points", "h", "k", "time", "gre", "gre_sbsc_literature",
-                               "gre_qbsc_literature", "gre_lbm_literature"], rows_csv)
+    _write_table(out, report, ["n_points", "h", "k", "time", "gre",
+                               *(f"gre_{name}_literature" for name in LITERATURE_GRE)])
 
 
 def _usable_cpus() -> int:
@@ -433,7 +428,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        raw = _json_object(Path(args.config).read_text(encoding="utf-8"))
+        raw = _json_object(Path(args.config).read_bytes())
         report = run(config_from_dict(apply_overrides(raw, args.set)), args.out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -315,6 +315,48 @@ def test_gre_table_run_includes_literature(tmp_path):
                       "gre_qbsc_literature,gre_lbm_literature")
 
 
+def _readme_cell(row: dict, column: str) -> str:
+    """A table.csv cell by the README's rule: n_points is an integer, h, k, T and time are
+    %g, the errors and literature GREs %.3E, order and wall_loop_s four decimals, and a
+    missing or null report value is an empty cell."""
+    if column.endswith("_literature"):  # gre_<name>_literature
+        value = row["literature"][column[len("gre_"):-len("_literature")]]
+    else:
+        value = row.get({"order": "observed_order", "wall_loop_s": "wall_loop_seconds"}.get(
+            column, column))
+    if value is None:
+        return ""
+    if column == "n_points":
+        return "%d" % value
+    if column in ("h", "k", "T", "time"):
+        return "%g" % value
+    if column in ("order", "wall_loop_s"):
+        return "%.4f" % value
+    return "%.3E" % value
+
+
+@pytest.mark.parametrize("data, header", [
+    ({"mode": "solve", "problem": 1, "N": 26, "k": 0.025, "T": 0.1},
+     "n_points,h,k,T,max_norm,gre,wall_loop_s"),
+    ({"mode": "converge-space-time", "problem": 1, "h": [4.0, 2.0], "k": [0.1, 0.05], "T": 0.5},
+     "n_points,h,k,T,max_norm,order,wall_loop_s"),
+    ({"mode": "converge-time", "problem": 4, "N": 41, "k": [0.02, 0.01], "T": 0.2},
+     "n_points,h,k,T,e_k,order,wall_loop_s"),
+    ({"mode": "gre-table", "problem": 1, "N": 26, "k": 0.05, "times": [1.0, 6.0]},
+     "n_points,h,k,time,gre,gre_sbsc_literature,gre_qbsc_literature,gre_lbm_literature"),
+], ids=["solve", "converge-space-time", "converge-time", "gre-table"])
+def test_table_cells_are_the_report_rows_formatted(tmp_path, data, header):
+    cli.run(config_from_dict(data), tmp_path)
+    rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+    lines = (tmp_path / "table.csv").read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + len(rows)
+    columns = header.split(",")
+    for row, line in zip(rows, lines[1:]):
+        assert line.split(",") == [_readme_cell(row, column) for column in columns]
+        assert all(line.split(",")[:5])  # grid, step, time and error are never empty
+
+
 def test_stability_run_writes_labeled_files(tmp_path):
     cfg = config_from_dict({"mode": "stability", "y": ["-2.0", "5 i"],
                             "window": [-6.0, 3.0, -6.0, 6.0], "resolution": 32})
@@ -637,7 +679,11 @@ def test_main_rejects_a_config_that_is_not_an_object(tmp_path):
     assert cli.main(["--config", path, "--out", str(tmp_path / "out")]) == 2
 
 
-def test_main_rejects_malformed_json(tmp_path):
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"], ids=["not_json", "not_utf8"])
+def test_main_rejects_malformed_json(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path.write_bytes(content)
     assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
