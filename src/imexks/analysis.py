@@ -134,7 +134,8 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
     r is its quartic in x, from :func:`~imexks.stepper.amplification_polynomial`
     once per y and evaluated by Horner's rule in blocks of whole rows, about
     ``_SAMPLES_PER_CALL`` points each, so the scan's working memory is the
-    field plus a few bytes per sample of boolean masks.
+    field plus a few bytes per sample of boolean masks.  A point where the
+    quartic overflows lies outside the |r| <= 1 region.
 
     Marching squares over the sample grid: every grid edge whose two samples
     lie on different sides of |r| = 1 is a crossing edge.  Each crossing edge
@@ -151,7 +152,12 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
     if not np.isfinite(y):
         raise ValueError(f"y = {y} must be finite")
     re_axis, im_axis = scan_axes(window, resolution)
-    r = amplification_polynomial(y)
+    quartic = amplification_polynomial(y)
+
+    def r(x):  # |r| is inf or nan where the quartic overflows, and counts as outside
+        with np.errstate(over="ignore", invalid="ignore"):
+            return quartic(x)
+
     rows = max(1, _SAMPLES_PER_CALL // resolution)
     magnitudes = np.empty((resolution, resolution))
     for lo in range(0, resolution, rows):

@@ -23,7 +23,7 @@ EXAMPLE1_NU = 1.0 / (2.0 * math.sqrt(19.0))
 EXAMPLE1_X0 = -25.0
 
 # Problem 4's convergence table is computed at 1.1/pi^2; the sweep values
-# 0.4/pi^2 .. 0.8/pi^2 produce the cellular / multi-peak regimes.
+# 0.4/pi^2 .. 0.8/pi^2 of configs/beta_sweep_*.json give the cellular regimes.
 TABLE_BETA_PROBLEM4 = 1.1 / math.pi**2
 SWEEP_BETAS_PROBLEM4 = (0.4 / math.pi**2, 0.6 / math.pi**2, 0.8 / math.pi**2)
 

@@ -10,8 +10,8 @@ the paper's partial-fraction stage, one backward-Euler-type solve with
 kL - c, on the transform modes; its pole and residue constants are pinned in
 criterion 6 of ``tests/test_acceptance.py``.  No N x N matrix is formed: a
 step costs nine real transforms, of u_n and, per stage, of the transport and
-the stage's inverse.  The stage sequence is written once: :func:`step` runs
-it on the modes, and the amplification factor on one mode.
+the stage's inverse.  The stage sequence is written once, run by :func:`step`
+on the modes and by :func:`amplification_polynomial` on polynomials in x.
 """
 
 from __future__ import annotations
@@ -80,31 +80,21 @@ def _stages(m, u, u_hat, rhs, inverse):
                        + w31 * (f_n - f_a - f_b + f_c))
 
 
-def _one_mode(y):
-    """The multipliers at z = -y and k = 1 of one mode, refused within 1e-8 of a stage pole."""
-    z = -complex(y)
-    if any(abs(z - pole) < 1e-8 for pole in _POLES):
-        raise ValueError(f"z = {z} is too close to a stage pole")
-    return _multipliers(z, 1.0)
-
-
 def scalar_amplification(x, y):
-    """One-step growth factor of the scheme on u' = -c u + gamma u.
+    """One-step growth factor on u' = -c u + gamma u: Horner's rule on :func:`amplification_polynomial`.
 
-    ``x = gamma k`` scales the explicitly treated term and ``y = -c k`` the
-    implicit one: :func:`step`'s stage sequence on one mode with multipliers
-    at z = k c = -y for k = 1, F(v) = x v and u_n = 1.  The result is an exact
-    degree-4 polynomial in x with y-dependent coefficients
-    (:func:`amplification_polynomial`); ``x`` may be an array.
+    ``x = gamma k`` (a scalar or an array) scales the explicit term and ``y = -c k`` the implicit one.
     """
-    x_arr = np.asarray(x, dtype=complex)
-    r = _stages(_one_mode(y), 1.0, 1.0, lambda _i, v: x_arr * v, lambda v: v)
-    return complex(r) if x_arr.ndim == 0 else r
+    r = amplification_polynomial(y)(np.asarray(x, dtype=complex))
+    return complex(r) if np.ndim(x) == 0 else r
 
 
 def amplification_polynomial(y) -> Polynomial:
-    """r(x, y) in x: the same stages on F(v) = X v, X = Polynomial([0, 1]); a call is Horner's rule."""
-    return _stages(_one_mode(y), 1.0, 1.0, lambda _i, v: Polynomial([0, 1]) * v, lambda v: v)
+    """r(x, y), a quartic in x: :func:`step`'s stages on one mode, z = -y, k = 1, F(v) = x v, u_n = 1."""
+    z = -complex(y)
+    if any(abs(z - pole) < 1e-8 for pole in _POLES):
+        raise ValueError(f"z = {z} is too close to a stage pole")
+    return _stages(_multipliers(z, 1.0), 1.0, 1.0, lambda _i, v: Polynomial([0, 1]) * v, lambda v: v)
 
 
 @dataclass(eq=False)
@@ -115,7 +105,7 @@ class StepperWorkspace:
     each transform mode, ``multipliers`` holds, in order, R_half - 1,
     k P1_half, k P2_half (stages a and b), R - 1, k P1, k P2 (stage c) and
     k P3 (the update).  The same rule at z = -y and k = 1 gives the one-mode
-    multipliers of the amplification factor :func:`scalar_amplification`.
+    multipliers of the amplification factor :func:`amplification_polynomial`.
     """
 
     sys: SemiDiscreteKse

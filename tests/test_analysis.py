@@ -172,38 +172,32 @@ def _closed_form_amplification(x, y):
             + 2.0 * (4.0 + z) / den * x * (1.0 - a - b + c))
 
 
-@pytest.mark.parametrize("config", ["stability_imag_y.json", "stability_real_y.json"])
-def test_amplification_matches_closed_form_on_shipped_windows(config):
-    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs" / config).read_text())
-    re_min, re_max, im_min, im_max = cfg["window"]
-    x = np.linspace(re_min, re_max, 64)[None, :] + 1j * np.linspace(im_min, im_max, 64)[:, None]
-    for raw in cfg["y"]:
-        y = parse_y_value(raw)
-        expected = _closed_form_amplification(x, y)
-        defect = np.abs(scalar_amplification(x, y) - expected) / np.maximum(1.0, np.abs(expected))
-        assert defect.max() <= 1e-13, raw
-
-
-def test_amplification_pole_proximity_is_an_error():
-    pole = complex(-3.0, math.sqrt(3.0))
-    with pytest.raises(ValueError):
-        scalar_amplification(1.0, -pole)
-
-
 REAL_Y = json.loads((Path(__file__).resolve().parent.parent / "configs"
                      / "stability_real_y.json").read_text())
 IMAG_Y = json.loads((Path(__file__).resolve().parent.parent / "configs"
                      / "stability_imag_y.json").read_text())
 
 
-@pytest.mark.parametrize("raw", IMAG_Y["y"] + REAL_Y["y"])
-def test_horner_on_the_quartic_matches_the_stage_sequence(raw):
+@pytest.mark.parametrize("raw, window", [pytest.param(raw, cfg["window"], id=raw)
+                                         for cfg in (IMAG_Y, REAL_Y) for raw in cfg["y"]])
+def test_amplification_matches_closed_form_on_shipped_windows(raw, window):
     y = parse_y_value(raw)
-    assert amplification_polynomial(y).degree() == 4
+    r = amplification_polynomial(y)
+    assert r.degree() == 4
+    re_min, re_max, im_min, im_max = window
+    x = np.linspace(re_min, re_max, 64)[None, :] + 1j * np.linspace(im_min, im_max, 64)[:, None]
+    expected = _closed_form_amplification(x, y)
+    assert (np.abs(r(x) - expected) / np.maximum(1.0, np.abs(expected))).max() <= 1e-13
     rng = np.random.default_rng(23)
     x = rng.uniform(-15.0, 12.0, 2000) + 1j * rng.uniform(-16.0, 16.0, 2000)
-    expected = scalar_amplification(x, y)
-    assert (np.abs(amplification_polynomial(y)(x) - expected) / np.abs(expected)).max() <= 1e-12
+    expected = _closed_form_amplification(x, y)
+    assert (np.abs(r(x) - expected) / np.abs(expected)).max() <= 1e-12
+
+
+def test_amplification_pole_proximity_is_an_error():
+    pole = complex(-3.0, math.sqrt(3.0))
+    with pytest.raises(ValueError):
+        scalar_amplification(1.0, -pole)
 
 
 @pytest.mark.parametrize("y", [complex(3.0, -math.sqrt(3.0)), complex(3.0, math.sqrt(3.0))])
@@ -250,11 +244,23 @@ def test_scan_imaginary_pair_is_conjugate_symmetric():
     assert gaps.min(axis=1).max() <= 1e-9
 
 
-def test_scan_flags_empty_window():
-    field = stability_scan(0.0, window=(50.0, 60.0, 50.0, 60.0), resolution=16)
+@pytest.mark.parametrize("y, window", [
+    pytest.param(0.0, (50.0, 60.0, 50.0, 60.0), id="far_from_the_region"),
+    pytest.param(5j, (-1e100, 1e100, -1.0, 1.0), id="overflowing_quartic"),
+])
+def test_scan_flags_empty_window(y, window):
+    field = stability_scan(y, window=window, resolution=16)
     assert field.is_empty
     assert field.boundary == []
     assert field.area() == 0.0
+
+
+def test_scan_bisects_into_samples_where_the_quartic_overflows():
+    # only the origin sample is inside; its neighbours, 1.25e99 away, and every
+    # bisection midpoint between them overflow the quartic and count as outside
+    field = stability_scan(-2.0, window=(-1e100, 1e100, -1e100, 1e100), resolution=17)
+    assert np.count_nonzero(field.magnitudes <= 1.0) == 1
+    assert len(field.boundary) == 1 and np.isfinite(field.boundary[0]).all()
 
 
 def test_scan_resolution_guard():
@@ -372,7 +378,7 @@ def test_scan_matches_cell_by_cell_reference(monkeypatch, y, window, resolution,
     if saddle:
         _inject_product_field(monkeypatch)
     field = stability_scan(y, window=window, resolution=resolution)
-    ref = _reference_segments(field, _product_field if saddle else scalar_amplification)
+    ref = _reference_segments(field, _product_field if saddle else _closed_form_amplification)
     got = _polyline_segments(field)
     assert ref.shape == got.shape
     same = np.maximum(np.abs(ref[:, None, 0] - got[None, :, 0]), np.abs(ref[:, None, 1] - got[None, :, 1]))

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,7 +112,9 @@ def test_problem4_spec_and_grid():
     grid = spec.grid(41)
     assert grid.h == pytest.approx(0.05)
     assert TABLE_BETA_PROBLEM4 == pytest.approx(1.1 / math.pi**2)
-    assert len(SWEEP_BETAS_PROBLEM4) == 3
+    # the acceptance gate sweeps the betas that configs/beta_sweep_*.json run
+    configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("beta_sweep_*.json"))
+    assert [json.loads(path.read_text())["beta"] for path in configs] == list(SWEEP_BETAS_PROBLEM4)
 
 
 def test_problem4_beta_override():
