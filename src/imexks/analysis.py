@@ -44,7 +44,6 @@ def observed_order(e_coarse: float, e_fine: float) -> float:
 
 DEFAULT_WINDOW = (-8.0, 4.0, -8.0, 8.0)
 DEFAULT_RESOLUTION = 512
-BISECTION_STEPS = 48
 # samples per block of rows of a scan and of the field CSV: a scan block's Horner
 # temporaries are a few complex arrays, near 2 MB at any resolution, 8 blocks at 512 x 512
 _SAMPLES_PER_CALL = 1 << 15
@@ -75,17 +74,18 @@ def _bisect_crossings(r, p_in: np.ndarray, p_out: np.ndarray) -> np.ndarray:
     """Points on the segments [p_in, p_out] where |r| crosses 1, all bisected at once.
 
     ``r`` is the scan's r(x) and ``p_in`` holds the |r| <= 1 end of each
-    segment.  Each of at most ``BISECTION_STEPS`` iterations evaluates every
-    midpoint in one call; the bisection stops once every interval is shorter
-    than 1e-12.
+    segment.  Each pass evaluates every midpoint in one call, until every
+    interval is shorter than 1e-12 or has no float64 midpoint strictly inside
+    it, and returns the midpoints.  The loop ends for finite ends: each pass
+    moves an end of every interval with a midpoint strictly inside to that
+    midpoint, and a finite interval holds finitely many float64.
     """
-    for _ in range(BISECTION_STEPS):
+    while True:
         mid = 0.5 * (p_in + p_out)
+        if np.all((np.abs(p_out - p_in) < 1e-12) | (mid == p_in) | (mid == p_out)):
+            return mid
         mid_in = np.abs(r(mid)) <= 1.0
         p_in, p_out = np.where(mid_in, mid, p_in), np.where(mid_in, p_out, mid)
-        if np.all(np.abs(p_out - p_in) < 1e-12):
-            break
-    return 0.5 * (p_in + p_out)
 
 
 def _link_segments(tails: np.ndarray, heads: np.ndarray, points: np.ndarray) -> List[np.ndarray]:
@@ -115,7 +115,7 @@ def _link_segments(tails: np.ndarray, heads: np.ndarray, points: np.ndarray) -> 
 
 def scan_axes(window: tuple, resolution: int) -> Tuple[np.ndarray, np.ndarray]:
     """The real and imaginary axes of a scan: ``resolution`` >= 16 points across the window."""
-    re_min, re_max, im_min, im_max = window
+    re_min, re_max, im_min, im_max = map(float, window)
     if not np.isfinite(window).all():
         raise ValueError(f"the window {window} must be finite")
     if not (re_max > re_min and im_max > im_min):
@@ -124,6 +124,8 @@ def scan_axes(window: tuple, resolution: int) -> Tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 16:
         raise ValueError(f"resolution must be at least 16 samples per axis, got {resolution}")
+    if not math.isfinite((re_max - re_min) * (im_max - im_min) * (resolution / (resolution - 1)) ** 2):
+        raise ValueError(f"the area of window {window} overflows float64")
     return np.linspace(re_min, re_max, resolution), np.linspace(im_min, im_max, resolution)
 
 
@@ -139,14 +141,17 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
 
     Marching squares over the sample grid: every grid edge whose two samples
     lie on different sides of |r| = 1 is a crossing edge.  Each crossing edge
-    is bisected once on the same quartic, all edges together, so
+    is bisected once on the same quartic, all edges together, to 1e-12 or to
+    float resolution where that is coarser (see :func:`_bisect_crossings`), so
     boundary points lie on grid edges and satisfy ||r| - 1| <= 1e-3
     regardless of resolution.  Each cell joins its crossing edges in pairs
     (a saddle cell by its centre sample), oriented with |r| <= 1 on the left.
-    A walk over the boundary nodes (see :func:`_link_segments`) chains the
-    segments into open polylines, which end on the window's edge, and closed
-    ones, which end on their first point.  An empty field (window entirely
-    outside the stability region) is flagged, not an error.
+    A walk over the crossing edges in the order of their grid indices (h edge
+    (j, i)-(j, i+1) is j (res - 1) + i, and v edge (j, i)-(j+1, i) is
+    res (res - 1) + j res + i; see :func:`_link_segments`) chains the segments
+    into open polylines, which end on the window's edge, and closed ones,
+    which end on their first point.  An empty field (window entirely outside
+    the stability region) is flagged, not an error.
     """
     y = complex(y)
     if not np.isfinite(y):
@@ -167,35 +172,26 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
         return re_axis[i] + 1j * im_axis[j]
 
     inside = magnitudes <= 1.0
-    cross_h = inside[:, :-1] != inside[:, 1:]  # edge (j, i)-(j, i+1)
-    cross_v = inside[:-1, :] != inside[1:, :]  # edge (j, i)-(j+1, i)
-    # crossing edges are numbered h edges first, each kind in row-major order; edge_h
-    # and edge_v number only crossing edges (any other edge's number goes unused)
-    flat_h, flat_v = np.flatnonzero(cross_h), np.flatnonzero(cross_v)
-    jh, ih = np.divmod(flat_h, resolution - 1)
-    jv, iv = np.divmod(flat_v, resolution)
-
-    def edge_h(j, i):  # the number of crossing edge (j, i)-(j, i+1)
-        return np.searchsorted(flat_h, j * (resolution - 1) + i)
-
-    def edge_v(j, i):  # the number of crossing edge (j, i)-(j+1, i)
-        return flat_h.size + np.searchsorted(flat_v, j * resolution + i)
-
-    first = np.concatenate((x_at(jh, ih), x_at(jv, iv)))
-    second = np.concatenate((x_at(jh, ih + 1), x_at(jv + 1, iv)))
-    first_in = np.concatenate((inside[jh, ih], inside[jv, iv]))
-    points = _bisect_crossings(r, np.where(first_in, first, second),
-                               np.where(first_in, second, first))
+    # every edge by its grid index: h edges (j, i)-(j, i+1), then v edges (j, i)-(j+1, i)
+    n_h = resolution * (resolution - 1)
+    crosses = np.empty(2 * n_h, dtype=bool)
+    cross_h, cross_v = crosses[:n_h].reshape(resolution, -1), crosses[n_h:].reshape(-1, resolution)
+    np.not_equal(inside[:, :-1], inside[:, 1:], out=cross_h)
+    np.not_equal(inside[:-1], inside[1:], out=cross_v)
+    ids = np.flatnonzero(crosses)
+    vertical = ids >= n_h
+    j, i = np.where(vertical, np.divmod(ids - n_h, resolution), np.divmod(ids, resolution - 1))
+    ends = x_at(j, i), x_at(j + vertical, i + ~vertical)
+    points = _bisect_crossings(r, *np.where(inside[j, i], ends, ends[::-1]))  # inside end first
 
     # cells (j, i) with a crossing; edge k runs counter-clockwise from corner k:
     # bottom, right, top, left from corners (j, i), (j, i+1), (j+1, i+1), (j+1, i)
     jc, ic = np.nonzero(cross_h[:-1] | cross_h[1:] | cross_v[:, :-1] | cross_v[:, 1:])
-    edges = np.stack((edge_h(jc, ic), edge_v(jc, ic + 1), edge_h(jc + 1, ic), edge_v(jc, ic)), axis=1)
-    crossing = np.stack((cross_h[jc, ic], cross_v[jc, ic + 1], cross_h[jc + 1, ic],
-                         cross_v[jc, ic]), axis=1)
+    bottom, left = jc * (resolution - 1) + ic, n_h + jc * resolution + ic
+    edges = np.stack((bottom, left + 1, bottom + resolution - 1, left), axis=1)
+    crossing = crosses[edges]
     # a crossing edge k leaves the |r| <= 1 region exactly when corner k is inside
-    leaving = np.stack((inside[jc, ic], inside[jc, ic + 1], inside[jc + 1, ic + 1],
-                        inside[jc + 1, ic]), axis=1)
+    leaving = inside[jc[:, None] + [0, 0, 1, 1], ic[:, None] + [0, 1, 1, 0]]
     # a segment runs from each leaving edge k to the first crossing edge met counter-
     # clockwise, or to edge k+3 in a saddle cell whose centre sample is outside
     cell, k = np.nonzero(crossing & leaving)
@@ -205,8 +201,8 @@ def stability_scan(y, window: tuple = DEFAULT_WINDOW,
     centre = x_at(sj, si) + 0.5 * (x_at(sj + 1, si + 1) - x_at(sj, si))
     clockwise = saddle.copy()
     clockwise[saddle] = ~(np.abs(r(centre)) <= 1.0)
-    tails = edges[cell, k]
-    heads = edges[cell, (k + np.where(clockwise[cell], 3, ahead)) % 4]
+    turn = np.where(clockwise[cell], 3, ahead)
+    tails, heads = np.searchsorted(ids, (edges[cell, k], edges[cell, (k + turn) % 4]))
 
     boundary = _link_segments(tails, heads, points)
     return StabilityField(y=y, re_axis=re_axis, im_axis=im_axis, magnitudes=magnitudes,

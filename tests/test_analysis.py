@@ -218,10 +218,18 @@ def test_scan_boundary_matches_real_axis_crossing():
     assert np.abs(on_axis[:, 0] - crossing).min() <= 0.05
 
 
-def test_scan_boundary_points_lie_on_level_set():
-    field = stability_scan(-2.0, window=(-6.0, 3.0, -6.0, 6.0), resolution=48)
+@pytest.mark.parametrize("y, window, resolution", [
+    pytest.param(-2.0, (-6.0, 3.0, -6.0, 6.0), 48, id="shipped_scale"),
+    # bisection from samples 1.25e99 apart down to 1e-12
+    pytest.param(-2.0, (-1e100, 1e100, -1e100, 1e100), 17, id="huge_window"),
+    # the boundary lies near |x| = 5.3e5, where float64 spacing exceeds 1e-12: the
+    # bisection ends when no interval has a midpoint strictly inside it
+    pytest.param(-1e5, (-1e6, 1e6, -1e6, 1e6), 64, id="float_resolution"),
+])
+def test_scan_boundary_points_lie_on_level_set(y, window, resolution):
+    field = stability_scan(y, window=window, resolution=resolution)
     pts = np.vstack(field.boundary)
-    mags = np.array([abs(scalar_amplification(complex(px, qy), -2.0)) for px, qy in pts])
+    mags = np.array([abs(scalar_amplification(complex(px, qy), y)) for px, qy in pts])
     assert np.abs(mags - 1.0).max() <= 1e-3
 
 
@@ -256,8 +264,8 @@ def test_scan_flags_empty_window(y, window):
 
 
 def test_scan_bisects_into_samples_where_the_quartic_overflows():
-    # only the origin sample is inside; its neighbours, 1.25e99 away, and every
-    # bisection midpoint between them overflow the quartic and count as outside
+    # only the origin sample is inside; its neighbours, 1.25e99 away, and the first
+    # bisection midpoints toward them overflow the quartic and count as outside
     field = stability_scan(-2.0, window=(-1e100, 1e100, -1e100, 1e100), resolution=17)
     assert np.count_nonzero(field.magnitudes <= 1.0) == 1
     assert len(field.boundary) == 1 and np.isfinite(field.boundary[0]).all()

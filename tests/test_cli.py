@@ -121,6 +121,9 @@ INVALID_CONFIGS = [
       "snapshots": [0.02, 0.0200000000001]}, "same step"),
     ({"mode": "solve", "problem": 2, "N": 16, "k": 0.25, "T": 1.0,
       "snapshots": [0.5, 0.0, 0.5]}, "same step"),
+    # a window whose width, or the area that StabilityField.area() may return, overflows
+    ({"mode": "stability", "y": ["-2"], "window": [-1.7e308, 1.7e308, -1, 1]}, "overflows"),
+    ({"mode": "stability", "y": ["-2"], "window": [-1e200, 1e200, -1e200, 1e200]}, "overflows"),
 ]
 
 
