@@ -5,10 +5,10 @@ mode alone picks what runs: ``solve`` (one run, field snapshots, errors when
 an exact solution exists), ``converge-space-time`` and ``converge-time``
 (refinement studies), ``gre-table`` (global relative errors against the
 published comparisons) or ``stability`` (amplification-factor scans and
-|r| = 1 boundaries).  Stability mode scans its y values in waves of worker
-processes, as many y per wave as the CPUs this process may use, or in this
-process when only one CPU or one y is there.  Exit codes: 0 success, 2 config
-error, 3 numerical instability, 4 I/O error.
+|r| = 1 boundaries).  Stability mode scans its y in waves of worker processes,
+one y per CPU this process may use, where processes start by fork; under spawn
+or forkserver, or with one CPU or one y, in this process (no option chooses).
+Exit codes: 0 success, 2 config error, 3 numerical instability, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -393,20 +393,20 @@ def _scan_to_files(label: str, window: tuple, resolution: int, out: Path) -> dic
 
 
 def _run_stability(cfg: Mapping, _spec, out: Path, report: dict):
-    """Scan the y in waves of one worker process per usable CPU, each wave after every row
-    of the last is read, so no y starts after a failure; in this process if one runs at once."""
-    from concurrent.futures import ProcessPoolExecutor
-
+    """Scan the y in waves of one forked worker per usable CPU, each wave after every row of
+    the last is read, so no y starts after a failure; in this process if one y runs at once
+    or processes start by spawn or forkserver."""
     labels = cfg["y"]
     task = functools.partial(_scan_to_files, window=cfg.get("window", analysis.DEFAULT_WINDOW),
                              resolution=cfg.get("resolution", analysis.DEFAULT_RESOLUTION),
                              out=out)
     workers = min(len(labels), _usable_cpus())
-    # the platform's start method: fork on Linux up to Python 3.13, so a worker starts
-    # with imexks already imported.  Four 512 x 512 scans on two CPUs (Python 3.11, eight
-    # runs each) took 0.23-0.25 s under fork, 0.36-0.55 s under forkserver, 0.45-0.60 s
-    # under spawn and 0.29-0.40 s in one process: without fork the pool is the slower way
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+    if workers > 1:
+        import multiprocessing
+        from concurrent import futures
+        # a worker that is not forked imports numpy and imexks again: more than the pool saves
+        workers = workers if multiprocessing.get_start_method() == "fork" else 1
+    with futures.ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         for start in range(0, len(labels), workers):
             for row in (pool.map if pool else map)(task, labels[start:start + workers]):
                 report["rows"].append(row)

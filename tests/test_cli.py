@@ -389,6 +389,11 @@ def test_stability_run_releases_each_field_before_the_next_scan(tmp_path, monkey
     assert len(fields) == 3
 
 
+# the y run in worker processes only where processes start by fork, else in this process
+forked_workers = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                    reason="the y run in worker processes only under fork")
+
+
 def _plain(value) -> bool:
     if isinstance(value, dict):
         return all(isinstance(key, str) and _plain(val) for key, val in value.items())
@@ -397,6 +402,7 @@ def _plain(value) -> bool:
     return type(value) in (str, int, float, bool)
 
 
+@forked_workers
 def test_stability_workers_hand_the_parent_plain_rows_only(tmp_path, monkeypatch):
     cfg = config_from_dict({"mode": "stability", "y": ["-2", "5i", "0"],
                             "window": [-6.0, 3.0, -6.0, 6.0], "resolution": 32})
@@ -441,7 +447,7 @@ def test_stability_workers_write_the_files_of_one_process(tmp_path, monkeypatch)
 
 
 def test_stability_task_and_row_survive_pickle(tmp_path):
-    # what a worker started by spawn or forkserver, not only by fork, receives and returns
+    # what ProcessPoolExecutor sends a worker and gets back through its queues, under fork too
     args = ("5i", (-6.0, 3.0, -6.0, 6.0), 32, tmp_path)
     assert pickle.loads(pickle.dumps(cli._scan_to_files)) is cli._scan_to_files
     assert pickle.loads(pickle.dumps(args)) == args
@@ -470,9 +476,8 @@ def test_stability_failure_in_a_worker_stops_the_run(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@forked_workers
 def test_stability_no_y_starts_once_a_worker_has_failed(tmp_path, monkeypatch):
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("the patched scan reaches the workers only when they are forked")
     scan = analysis.stability_scan
 
     def patched(y, **kwargs):
@@ -492,9 +497,8 @@ def test_stability_no_y_starts_once_a_worker_has_failed(tmp_path, monkeypatch):
         "boundary_y-2.csv", "report.json", "stability_y-2.csv"]
 
 
+@forked_workers
 def test_stability_runs_at_most_one_y_per_usable_cpu_at_once(tmp_path, monkeypatch):
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("the patched scan reaches the workers only when they are forked")
     scan = analysis.stability_scan
     live = tmp_path / "live"
     live.mkdir()
@@ -519,43 +523,67 @@ def test_stability_runs_at_most_one_y_per_usable_cpu_at_once(tmp_path, monkeypat
     assert multiprocessing.active_children() == []
 
 
-# run in a fresh interpreter, whose start method is not yet fixed
-_START_METHOD_RUN = """
+def _fresh_interpreter(code: str, *args) -> str:
+    """The last line ``code`` prints in a new interpreter, which imports this imexks."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True,
+                         text=True, check=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=package_root))
+    return out.stdout.splitlines()[-1]
+
+
+# its start method is not yet fixed; the last line says whether the module that starts
+# worker processes was loaded
+_UNFORKED_RUN = """
 import multiprocessing, sys
 from imexks import cli
 multiprocessing.set_start_method(sys.argv[1])
 cli._usable_cpus = lambda: 2
-sys.exit(cli.main(["--config", sys.argv[2], "--set", "resolution=64", "--out", sys.argv[3]]))
+code = cli.main(["--config", sys.argv[2], "--set", "resolution=64", "--out", sys.argv[3]])
+print("concurrent.futures.process" in sys.modules)
+sys.exit(code)
 """
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_stability_workers_write_the_same_files_under_other_start_methods(
-        tmp_path, monkeypatch, method):
+def test_stability_runs_in_one_process_unless_processes_fork(tmp_path, monkeypatch, method):
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
     config = str(CONFIGS / "stability_imag_y.json")
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    subprocess.run([sys.executable, "-c", _START_METHOD_RUN, method, config,
-                    str(tmp_path / method)], check=True, timeout=300,
-                   env=dict(os.environ, PYTHONPATH=package_root))
+    # no worker process was started
+    assert _fresh_interpreter(_UNFORKED_RUN, method, config, tmp_path / method) == "False"
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     assert cli.main(["--config", config, "--set", "resolution=64",
                      "--out", str(tmp_path / "one")]) == 0
     one = json.loads((tmp_path / "one" / "report.json").read_text())
-    pooled = json.loads((tmp_path / method / "report.json").read_text())
-    assert _strip_timings(pooled["rows"]) == _strip_timings(one["rows"])
-    assert pooled["outputs"] == one["outputs"] and len(one["outputs"]) == 8
+    unforked = json.loads((tmp_path / method / "report.json").read_text())
+    assert _strip_timings(unforked["rows"]) == _strip_timings(one["rows"])
+    assert unforked["outputs"] == one["outputs"] and len(one["outputs"]) == 8
     for name in one["outputs"]:
         assert (tmp_path / method / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
+# one y, then two y on one usable CPU; the last line is the start method
+_ONE_PROCESS_RUN = """
+import multiprocessing, sys
+from imexks import cli
+for y, cpus in (('["-2"]', 2), ('["-2", "5i"]', 1)):
+    cli._usable_cpus = lambda: cpus
+    assert cli.main(["--config", sys.argv[1], "--set", f"y={y}", "--set", "resolution=16",
+                     "--out", sys.argv[2]]) == 0
+print(multiprocessing.get_start_method(allow_none=True))
+"""
+
+
+def test_stability_run_in_one_process_leaves_the_start_method_unset(tmp_path):
+    config = CONFIGS / "stability_imag_y.json"
+    assert _fresh_interpreter(_ONE_PROCESS_RUN, config, tmp_path) == "None"
+
+
 def test_importing_the_cli_starts_no_process_machinery():
-    code = "import sys, imexks.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=package_root))
-    assert out.stdout.strip() == "[]"
+    code = ("import sys, imexks.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))")
+    assert _fresh_interpreter(code) == "[]"
 
 
 def test_snapshot_times_that_share_six_digits_write_two_files(tmp_path, monkeypatch):

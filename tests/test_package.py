@@ -4,9 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import imexks
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def test_every_exported_name_resolves():
@@ -32,7 +35,7 @@ _RUNS_WITHOUT_SCIPY = {
                        "k": [0.01, 0.005, 0.0025], "T": 0.1}, ["table.csv"]),
     "gre-table": ({"mode": "gre-table", "problem": 1, "N": 26, "k": 0.5, "times": [1.0, 2.0]},
                   ["table.csv"]),
-    # two y, so the worker pool runs where two CPUs are usable
+    # two y, so forked workers run them where two CPUs are usable and processes start by fork
     "stability": ({"mode": "stability", "y": ["-5i", "5i"], "resolution": 32},
                   ["boundary_y-5i.csv", "boundary_y5i.csv", "stability_y-5i.csv",
                    "stability_y5i.csv"]),
@@ -50,6 +53,15 @@ for name in sys.argv[2:]:
     results[name] = [code, sorted(os.listdir(out))]
 print(json.dumps(results))
 """
+
+
+def test_runtime_dependencies_name_numpy_only():
+    # scipy serves the tests, the dense oracle and the benchmark harness: the test extra
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    names = [re.match(r"[A-Za-z0-9._-]+", dep).group() for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
 def test_every_mode_runs_without_scipy(tmp_path):
