@@ -50,8 +50,10 @@ def r22(z):
     return (12.0 - 6.0 * z + z * z) / (12.0 + 6.0 * z + z * z)
 
 
-# the names of the workspace's seven stage multipliers, in order
-MULTIPLIERS = ("w1_half", "omega1_half", "omega2_half", "w1", "w11", "w21", "w31")
+# the names of the workspace's eight stage weights, in order: the last four
+# are named after the combinations of the paper's residues they carry
+MULTIPLIERS = ("w1_half", "omega1_half", "omega2_half", "w1", "w11-2w21", "2w21", "w31-w21",
+               "2w21-w31")
 
 
 def named(ws):
@@ -61,11 +63,14 @@ def named(ws):
 # ------------------------------------------------------- stage functions
 
 # the paper's partial-fraction constants in closed form: the upper stage poles
-# and the residue weights of the stage rationals there
+# and the residue weights of the stage rationals there.  With w11 = -2 sqrt(3) i,
+# w21 = 1/2 - sqrt(3)/2 i and w31 = 1 - i/sqrt(3), the full-step weights after w1
+# carry the combined residues w11 - 2 w21, 2 w21, w31 - w21 and 2 w21 - w31
 POLE, POLE_HALF = complex(-3.0, SQ3), complex(-6.0, 2.0 * SQ3)
 RESIDUES = {
-    "w1": complex(-6.0, -6.0 * SQ3), "w11": complex(0.0, -2.0 * SQ3),
-    "w21": complex(0.5, -SQ3 / 2.0), "w31": complex(1.0, -1.0 / SQ3),
+    "w1": complex(-6.0, -6.0 * SQ3), "w11-2w21": complex(-1.0, -SQ3),
+    "2w21": complex(1.0, -SQ3), "w31-w21": complex(0.5, 0.5 / SQ3),
+    "2w21-w31": complex(0.0, -2.0 / SQ3),
     "w1_half": complex(-12.0, -12.0 * SQ3), "omega1_half": complex(0.0, -2.0 * SQ3),
     "omega2_half": complex(1.0, -SQ3),
 }
@@ -111,8 +116,9 @@ def test_prepare_scalar_pole_shift():
     den, den_h = 12.0 + 6.0 * z + z * z, 48.0 + 12.0 * z + z * z
     ws = named(prepare(ScalarSystem(lam), k))
     expected = {
-        "w1": r22(z) - 1.0, "w11": 12.0 * k / den, "w21": k * (6.0 + z) / den,
-        "w31": 2.0 * k * (4.0 + z) / den, "w1_half": (48.0 - 12.0 * z + z * z) / den_h - 1.0,
+        "w1": r22(z) - 1.0, "w11-2w21": -2.0 * k * z / den, "2w21": 2.0 * k * (6.0 + z) / den,
+        "w31-w21": k * (2.0 + z) / den, "2w21-w31": 4.0 * k / den,
+        "w1_half": (48.0 - 12.0 * z + z * z) / den_h - 1.0,
         "omega1_half": 24.0 * k / den_h, "omega2_half": 2.0 * k * (12.0 + z) / den_h,
     }
     for name, value in expected.items():
@@ -149,7 +155,7 @@ def test_periodic_prepare_holds_only_order_n_arrays():
     sys_ = problems.make_problem(2).build_system(n)
     ws = prepare(sys_, 0.25)
     arrays = held_arrays(ws, sys_)
-    assert len(arrays) == 2 + 7  # the L and transport symbols, the seven stage multipliers
+    assert len(arrays) == 2 + 8  # the L and transport symbols, the eight stage weights
     assert all(a.ndim == 1 and a.size <= n for a in arrays)
 
 
@@ -160,8 +166,8 @@ def test_dirichlet_prepare_holds_only_order_n_arrays():
     ws = prepare(sys_, 0.0625 / 160)
     arrays = held_arrays(ws, sys_)
     # the L symbol, the phases of the forward, inverse and transport
-    # transforms, the seven stage multipliers and the wall matrix
-    assert len(arrays) == 1 + 3 + 7 + 1
+    # transforms, the eight stage weights and the wall matrix
+    assert len(arrays) == 1 + 3 + 8 + 1
     assert sys_.wall_matrix.shape == (n - 2, 12)
     assert all(a.ndim == 1 and a.size <= n for a in arrays if a is not sys_.wall_matrix)
 
@@ -458,8 +464,9 @@ def test_states_that_are_not_one_dimensional_are_rejected(problem_id, n_points):
 @pytest.mark.parametrize("problem_id, n_points", [(2, 64), (1, 26), (3, 41)])
 def test_a_step_costs_nine_transforms_and_three_wall_evaluations(monkeypatch, problem_id,
                                                                   n_points):
-    # guards the per-step work: one transform of u_n, one forward and one
-    # inverse per stage, and the wall data once per distinct stage time
+    # guards the per-step work: one transform of u_0 per run, one forward and
+    # one inverse per stage, and the wall data once per distinct stage time;
+    # a lone public step transforms its own u_n, nine in all
     counts = {"fft": 0, "walls": 0}
 
     def counted(fn, key):
@@ -477,7 +484,52 @@ def test_a_step_costs_nine_transforms_and_three_wall_evaluations(monkeypatch, pr
     ws = prepare(sys_, 0.125)
     counts.update(fft=0, walls=0)
     integrate(sys_, u0, 0.125, 1.0, workspace=ws)
-    assert counts == {"fft": 9 * 8, "walls": 0 if walls is None else 3 * 8}
+    assert counts == {"fft": 1 + 8 * 8, "walls": 0 if walls is None else 3 * 8}
+    counts.update(fft=0, walls=0)
+    step(ws, u0, 0.0)
+    assert counts == {"fft": 9, "walls": 0 if walls is None else 3}
+
+
+def _stepped(ws, u0, n_steps):
+    """u_n of n public steps from u0, or the InstabilityError's fields as integrate sets them."""
+    u = u0
+    for j in range(n_steps):
+        try:
+            u = step(ws, u, j * ws.k)
+        except InstabilityError as err:
+            return j, j * ws.k, err.max_abs
+    return u
+
+
+@pytest.mark.parametrize("problem_id,beta,n_points,k,t_final", [
+    (1, None, 201, 0.01, 2.0),
+    (2, None, 256, 0.25, 30.0),
+    (3, None, 101, 0.005, 1.0),
+    (4, problems.TABLE_BETA_PROBLEM4, 41, 3.125e-4, 1.0),  # table 5's finest run, 3,200 steps
+], ids=["problem1", "problem2", "problem3", "problem4-table5-finest"])
+def test_integrate_equals_a_loop_of_public_steps(problem_id, beta, n_points, k, t_final):
+    # integrate carries the transform of u_n from step to step where step
+    # takes it afresh; the two runs differ only by that roundoff
+    spec = problems.make_problem(problem_id, beta=beta)
+    sys_ = spec.build_system(n_points)
+    u0 = spec.initial_state(sys_)
+    ws = prepare(sys_, k)
+    carried = integrate(sys_, u0, k, t_final, workspace=ws)
+    stepped = _stepped(ws, u0, round(t_final / k))
+    assert np.abs(carried - stepped).max() <= 1e-12 * np.abs(stepped).max()
+
+
+def test_integrate_and_public_steps_diverge_at_the_same_step():
+    spec = problems.make_problem(2)
+    sys_ = spec.build_system(256)
+    u0 = spec.initial_state(sys_)
+    ws = prepare(sys_, 4.0)
+    with pytest.raises(InstabilityError) as err:
+        integrate(sys_, u0, 4.0, 80.0, workspace=ws)
+    step_index, time, max_abs = _stepped(ws, u0, 20)
+    assert (err.value.step_index, err.value.time) == (step_index, time)
+    # the last finite states differ by the roundoff of the carried transform
+    assert err.value.max_abs == pytest.approx(max_abs, rel=1e-12)
 
 
 def test_integrate_observer_sees_every_step():
