@@ -230,8 +230,9 @@ def validate_config(cfg: Mapping):
         raise ConfigError("two snapshot times fall on the same step")
     if time_steps != sorted(set(time_steps)):
         raise ConfigError("times must fall on strictly increasing steps")
-    for n_points in {n for n, _ in runs}:
-        spec.build_system(n_points)
+    systems = {n: spec.build_system(n) for n in dict.fromkeys(n for n, _ in runs)}
+    for n_points, k_val in runs:
+        stepper.prepare(systems[n_points], k_val)
     if mode in ("converge-space-time", "gre-table") and spec.exact_solution is None:
         raise ConfigError(f"mode {mode!r} requires the problem with an exact solution")
 

@@ -8,8 +8,8 @@ problems with zero wall data (Gaussian pulse, decaying sine).
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,23 +28,27 @@ TABLE_BETA_PROBLEM4 = 1.1 / math.pi**2
 SWEEP_BETAS_PROBLEM4 = (0.4 / math.pi**2, 0.6 / math.pi**2, 0.8 / math.pi**2)
 
 
-def example1_exact(x, t):
-    """Traveling-wave solution mu + (15 tanh^3(s) - 45 tanh(s)) / 19^(3/2).
+# u = p(S) with p's coefficients by power of S, valid for alpha = -1, beta = 1
+_WAVE = (EXAMPLE1_MU, -45.0 / 19.0**1.5, 0.0, 15.0 / 19.0**1.5)
 
-    ``s = nu (x - mu t - x0)`` with the ``EXAMPLE1_*`` constants, the same
-    ones :func:`example1_wall_data` uses; valid for alpha = -1, beta = 1.
-    """
-    s = np.tanh(EXAMPLE1_NU * (np.asarray(x, dtype=float) - EXAMPLE1_MU * t - EXAMPLE1_X0))
-    return EXAMPLE1_MU + (15.0 * s**3 - 45.0 * s) / 19.0**1.5
+
+def _wave_phase(x, t):
+    """S = tanh(nu (x - (mu t + x0))) at the points ``x``, with the ``EXAMPLE1_*`` constants."""
+    return np.tanh(EXAMPLE1_NU * (np.asarray(x, dtype=float) - (EXAMPLE1_MU * t + EXAMPLE1_X0)))
+
+
+def example1_exact(x, t):
+    """Traveling-wave solution mu + (15 S^3 - 45 S) / 19^(3/2) with S = :func:`_wave_phase`."""
+    return P.polyval(_wave_phase(x, t), _WAVE)
 
 
 def _example1_derivative_coefficients() -> np.ndarray:
     """Rows: u, u_x, u_xx and u_xxxx as polynomials in S, powers 0 to 7.
 
-    u = p(S) with S = tanh(nu (x - mu t - x0)) and dS/dx = nu (1 - S^2), so
-    every x-derivative is again a polynomial, d/dx p(S) = nu (1 - S^2) p'(S).
+    u = p(S) with dS/dx = nu (1 - S^2), so every x-derivative is again a
+    polynomial, d/dx p(S) = nu (1 - S^2) p'(S).
     """
-    rows = [np.array([EXAMPLE1_MU, -45.0 / 19.0**1.5, 0.0, 15.0 / 19.0**1.5])]
+    rows = [np.array(_WAVE)]
     for _ in range(4):
         rows.append(EXAMPLE1_NU * P.polymul((1.0, 0.0, -1.0), P.polyder(rows[-1])))
     return np.array([np.pad(rows[order], (0, 8 - len(rows[order]))) for order in (0, 1, 2, 4)])
@@ -60,11 +64,10 @@ def example1_wall_data(x, t) -> np.ndarray:
     Rows are the four quantities, columns the points; the Dirichlet system
     evaluates it at both walls for every F.
     """
-    s = np.tanh(EXAMPLE1_NU * (np.asarray(x, dtype=float) - (EXAMPLE1_MU * t + EXAMPLE1_X0)))
-    return _EXAMPLE1_DERIVATIVES @ s**_POWERS
+    return _EXAMPLE1_DERIVATIVES @ _wave_phase(x, t) ** _POWERS
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ProblemSpec:
     """Static description of one benchmark problem."""
 
@@ -85,54 +88,33 @@ class ProblemSpec:
         return np.asarray(self.initial_condition(sys.active_nodes()), dtype=float)
 
 
-def _ic_problem2(x):
-    return np.cos(x / 16.0) * (1.0 + np.sin(x / 16.0))
-
-
-def _ic_problem3(x):
-    return np.exp(-np.asarray(x, dtype=float) ** 2)
-
-
-def _ic_problem4(x):
-    return -np.sin(np.pi * np.asarray(x, dtype=float))
+_PROBLEMS = {
+    1: ProblemSpec(domain=(-50.0, 50.0), params=KseParameters(alpha=-1.0, beta=1.0),
+                   scheme=BoundaryScheme.DIRICHLET,
+                   initial_condition=lambda x: example1_exact(x, 0.0),
+                   exact_solution=example1_exact, boundary_values=example1_wall_data),
+    2: ProblemSpec(domain=(0.0, 32.0 * math.pi), params=KseParameters(alpha=1.0, beta=1.0),
+                   scheme=BoundaryScheme.PERIODIC,
+                   initial_condition=lambda x: np.cos(x / 16.0) * (1.0 + np.sin(x / 16.0))),
+    3: ProblemSpec(domain=(-30.0, 30.0), params=KseParameters(alpha=1.0, beta=1.0),
+                   scheme=BoundaryScheme.DIRICHLET,
+                   initial_condition=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)),
+    4: ProblemSpec(domain=(-1.0, 1.0), params=KseParameters(alpha=1.0, beta=1.1),
+                   scheme=BoundaryScheme.DIRICHLET,
+                   initial_condition=lambda x: -np.sin(np.pi * np.asarray(x, dtype=float))),
+}
 
 
 def make_problem(problem_id: int, beta: Optional[float] = None) -> ProblemSpec:
-    """Build the ProblemSpec for one of the four benchmarks.
+    """The ProblemSpec of one of the four benchmarks.
 
     ``beta`` may override the fourth-derivative coefficient of problem 4
     only; the other problems have fixed parameters.
     """
     if beta is not None and problem_id != 4:
         raise ValueError("beta override is only available for problem 4")
-    if problem_id == 1:
-        return ProblemSpec(
-            domain=(-50.0, 50.0),
-            params=KseParameters(alpha=-1.0, beta=1.0),
-            scheme=BoundaryScheme.DIRICHLET,
-            initial_condition=lambda x: example1_exact(x, 0.0),
-            exact_solution=example1_exact,
-            boundary_values=example1_wall_data,
-        )
-    if problem_id == 2:
-        return ProblemSpec(
-            domain=(0.0, 32.0 * math.pi),
-            params=KseParameters(alpha=1.0, beta=1.0),
-            scheme=BoundaryScheme.PERIODIC,
-            initial_condition=_ic_problem2,
-        )
-    if problem_id == 3:
-        return ProblemSpec(
-            domain=(-30.0, 30.0),
-            params=KseParameters(alpha=1.0, beta=1.0),
-            scheme=BoundaryScheme.DIRICHLET,
-            initial_condition=_ic_problem3,
-        )
-    if problem_id == 4:
-        return ProblemSpec(
-            domain=(-1.0, 1.0),
-            params=KseParameters(alpha=1.0, beta=1.1 if beta is None else beta),
-            scheme=BoundaryScheme.DIRICHLET,
-            initial_condition=_ic_problem4,
-        )
-    raise ValueError(f"unknown problem id {problem_id}")
+    if problem_id not in _PROBLEMS:
+        raise ValueError(f"unknown problem id {problem_id}")
+    if beta is None:
+        return _PROBLEMS[problem_id]
+    return dataclasses.replace(_PROBLEMS[4], params=KseParameters(alpha=1.0, beta=beta))

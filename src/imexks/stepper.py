@@ -123,9 +123,13 @@ class StepperWorkspace:
 
 
 def prepare(sys: SemiDiscreteKse, k: float) -> StepperWorkspace:
-    """The stage weights at z = k lambda, once per time loop."""
+    """The stage weights at z = k lambda, once per time loop; max|z| may not
+    exceed 1e150, since z * z in the stage denominators overflows near 1.3e154."""
     if not (np.isfinite(k) and k > 0):
         raise ValueError("time step must be positive")
+    z_max = k * float(np.abs(sys.linear_symbol).max())
+    if z_max > 1e150:
+        raise ValueError(f"k = {k} gives max|k lambda| = {z_max:.3g}, which exceeds 1e150")
     return StepperWorkspace(sys=sys, k=k, multipliers=_multipliers(k * sys.linear_symbol, k))
 
 

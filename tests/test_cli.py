@@ -124,6 +124,8 @@ INVALID_CONFIGS = [
     # a window whose width, or the area that StabilityField.area() may return, overflows
     ({"mode": "stability", "y": ["-2"], "window": [-1.7e308, 1.7e308, -1, 1]}, "overflows"),
     ({"mode": "stability", "y": ["-2"], "window": [-1e200, 1e200, -1e200, 1e200]}, "overflows"),
+    # a step whose stage weights would overflow (max|k lambda| = 3.5e300)
+    ({"mode": "solve", "problem": 2, "N": 64, "k": 1e300, "T": 1e300}, "exceeds 1e150"),
 ]
 
 

@@ -120,16 +120,26 @@ def test_problem4_spec_and_grid():
 def test_problem4_beta_override():
     spec = make_problem(4, beta=TABLE_BETA_PROBLEM4)
     assert spec.params.beta == pytest.approx(1.1 / math.pi**2)
+    # the override is a new spec: the shared problem 4 keeps its beta
+    assert make_problem(4).params.beta == 1.1
 
 
 def test_beta_override_restricted_to_problem4():
     with pytest.raises(ValueError):
         make_problem(2, beta=0.5)
+    # the beta rule comes before the problem id is looked up
+    with pytest.raises(ValueError, match="beta override"):
+        make_problem(9, beta=0.5)
 
 
 def test_unknown_problem_id():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown problem id 5"):
         make_problem(5)
+
+
+@pytest.mark.parametrize("problem_id", [1, 2, 3, 4])
+def test_two_calls_return_equal_specs(problem_id):
+    assert make_problem(problem_id) == make_problem(problem_id)
 
 
 def test_build_system_scheme_selection():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,18 @@ def test_prepare_rebuilds_for_new_step():
 def test_prepare_rejects_bad_step():
     with pytest.raises(ValueError):
         prepare(ScalarSystem(1.0), 0.0)
+
+
+def test_prepare_rejects_a_step_whose_stage_weights_would_overflow():
+    # z * z overflows near 1.3e154; up to max|k lambda| = 1e150 every weight
+    # is finite, past it prepare refuses before any warning
+    assert all(np.isfinite(w).all() for w in prepare(ScalarSystem(-1.0), 1e150).multipliers)
+    sys_ = problems.make_problem(2).build_system(64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for system, k in ((ScalarSystem(-1.0), 1.01e150), (sys_, 1e300)):
+            with pytest.raises(ValueError, match="exceeds 1e150"):
+                prepare(system, k)
 
 
 # ------------------------------------------------------------------- step
